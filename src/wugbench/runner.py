@@ -6,6 +6,11 @@ forcing and batched gradient accumulation, keeps the checkpoint with the
 best greedy dev accuracy (ties go to the earlier epoch), then scores the
 test set with beam search and the wug items with forced scoring.
 
+The stages are ``run_train``, ``run_eval``, ``run_wug`` and ``run_report``;
+``run_experiment`` composes them in one process, evaluating each unit with
+its model still in memory.  Each stage's rows are sorted and written by one
+emitter, and ``run_report`` alone builds summary.json, from the CSVs.
+
 Everything emitted is byte-deterministic for a given config: row orders
 are fixed, floats are written in shortest round-trip form, and nothing
 derived from wall-clock time reaches a file.  Set WUGBENCH_THREADS to
@@ -59,6 +64,8 @@ EN_REPORT_CLASSES = ("regular", "irregular", cp.OTHER_CLASS)
 DE_REPORT_CLASSES = cp.GERMAN_CLASSES + (cp.OTHER_CLASS,)
 
 CURVES_HEADER = ("lang", "model", "seed", "epoch", "train_loss", "dev_accuracy")
+UNITS_HEADER = ("lang", "model", "seed", "param_count", "best_epoch", "best_dev_accuracy",
+                "diagnostic")
 ACCURACY_HEADER = ("lang", "model", "seed", "class", "accuracy")
 F1_HEADER = ("lang", "model", "seed", "class", "f1")
 RATINGS_HEADER = ("lemma", "form", "class", "context", "seed",
@@ -235,6 +242,7 @@ def _batch_losses(model, pairs, rng):
 
 @dataclass
 class TrainOutcome:
+    lang: str
     arch: str
     seed: int
     curve_rows: list[dict]
@@ -259,7 +267,8 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
          bundle.alphabet.encode_target(ex.form))
         for ex in bundle.train
     ]
-    outcome = TrainOutcome(arch, seed, [], 0, -math.inf, count_parameters(model))
+    outcome = TrainOutcome(bundle.lang, arch, seed, [], 0, -math.inf,
+                           count_parameters(model))
     best_params: dict[str, np.ndarray] | None = None
 
     try:
@@ -399,8 +408,10 @@ class UnitResult:
     outcomes: dict[str, list[str]]
 
 
-def _run_unit(payload: tuple[dict, str, int]) -> UnitResult:
-    config_dict, arch, seed = payload
+def _run_unit(payload: tuple[dict, str, int, bool]) -> UnitResult:
+    """Train one unit and checkpoint it; with ``evaluate`` also decode the
+    test set and score the wugs with the model still in memory."""
+    config_dict, arch, seed, evaluate = payload
     config = ExperimentConfig.from_dict(config_dict)
     bundle = load_data(config)
     outcome, model = train_unit(config, bundle, arch, seed)
@@ -420,6 +431,8 @@ def _run_unit(payload: tuple[dict, str, int]) -> UnitResult:
                 "model_config": model.config.to_dict(),
                 "alphabet": list(bundle.alphabet.symbols),
             })
+    if not evaluate:
+        return UnitResult(outcome, [], [], [], {})
     acc_rows, f1_rows = eval_test(model, bundle, config.beam_width, arch, seed)
     rating_rows: list[dict] = []
     outcomes: dict[str, list[str]] = {}
@@ -437,9 +450,9 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def execute_units(config: ExperimentConfig) -> list[UnitResult]:
+def execute_units(config: ExperimentConfig, evaluate: bool = True) -> list[UnitResult]:
     payloads = [
-        (config.to_dict(), arch, seed)
+        (config.to_dict(), arch, seed, evaluate)
         for arch in config.architectures
         for seed in config.seeds
     ]
@@ -475,6 +488,14 @@ def write_csv(path, header: Sequence[str], rows: Iterable[dict]) -> None:
         writer.writerow(header)
         for r in rows:
             writer.writerow([_fmt(r[col]) for col in header])
+
+
+def _finite(value) -> float | None:
+    """A number or CSV cell as a float; None where it is empty or not finite."""
+    if value is None or value == "":
+        return None
+    f = float(value)
+    return f if math.isfinite(f) else None
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -576,33 +597,32 @@ def build_grid(accuracy_rows: Sequence[dict], f1_rows: Sequence[dict],
                correlation_rows: Sequence[dict]) -> dict:
     """Task-performance vs. human-fit grid over every (model, class) cell.
 
-    English cells use per-class accuracy, German cells per-class F1; the
-    human-fit coordinate is the Pearson r of that model's ratings within
-    the class.  Languages contribute their own classes, so a merged
-    English+German report has 7 classes per model."""
+    English cells use per-class accuracy, German cells per-class F1,
+    averaged over the seeds where the value is defined; the human-fit
+    coordinate is the Pearson r of that model's ratings within the class.
+    Languages contribute their own classes, so a merged English+German
+    report has 7 classes per model."""
     perf: dict[tuple[str, str], list[float]] = {}
-    langs: set[str] = set()
-    for row in accuracy_rows:
-        if row["lang"] == "en" and row["class"] in cp.ENGLISH_CLASSES and row["accuracy"] != "":
-            perf.setdefault((row["model"], row["class"]), []).append(float(row["accuracy"]))
-            langs.add("en")
-    for row in f1_rows:
-        if row["lang"] == "de" and row["class"] in cp.GERMAN_CLASSES and row["f1"] != "":
-            perf.setdefault((row["model"], row["class"]), []).append(float(row["f1"]))
-            langs.add("de")
+    classes: tuple[str, ...] = ()
+    for lang, rows, col, lang_classes in (
+            ("en", accuracy_rows, "accuracy", cp.ENGLISH_CLASSES),
+            ("de", f1_rows, "f1", cp.GERMAN_CLASSES)):
+        found = False
+        for row in rows:
+            value = _finite(row[col])
+            if row["lang"] == lang and row["class"] in lang_classes and value is not None:
+                perf.setdefault((row["model"], row["class"]), []).append(value)
+                found = True
+        if found:
+            classes += lang_classes
 
     fit: dict[tuple[str, str], float] = {}
     for row in correlation_rows:
-        if row["group"] != "all" and row["pearson_r"] not in ("", None):
-            fit[(row["model"], row["group"])] = float(row["pearson_r"])
+        r = _finite(row["pearson_r"])
+        if row["group"] != "all" and r is not None:
+            fit[(row["model"], row["group"])] = r
 
-    classes: tuple[str, ...] = ()
-    if "en" in langs:
-        classes += cp.ENGLISH_CLASSES
-    if "de" in langs:
-        classes += cp.GERMAN_CLASSES
     models = sorted({m for m, _ in perf} | {m for m, _ in fit}, key=_arch_rank)
-
     cells = {}
     for key, values in perf.items():
         if key in fit:
@@ -620,126 +640,100 @@ def build_grid(accuracy_rows: Sequence[dict], f1_rows: Sequence[dict],
     }
 
 
+def _class_stats(rows: Iterable[dict], col: str, by) -> dict[str, dict]:
+    """Mean and sd over seeds of ``col`` per ``by(row)`` and class, skipping
+    undefined values; groups without a defined value are left out."""
+    values: dict[str, dict[str, list[float]]] = {}
+    for row in rows:
+        value = _finite(row[col])
+        if value is not None:
+            values.setdefault(by(row), {}).setdefault(row["class"], []).append(value)
+    return {
+        key: {cls: dict(zip(("mean", "sd"), _mean_sd(vals)))
+              for cls, vals in sorted(classes.items(), key=lambda kv: _class_rank(kv[0]))}
+        for key, classes in sorted(values.items())
+    }
+
+
+def _write_summary(path, summary: dict) -> None:
+    # summary numbers pass through _finite or _corr_to_json, so none is NaN
+    blob = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(blob + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
-# the full pipeline
+# stage emitters: each sorts its stage's rows and writes its CSVs
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Train, evaluate and report; returns the summary dict it wrote."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_data(config)
-    results = execute_units(config)
+def _emit_training(out_dir: Path, outcomes: Sequence[TrainOutcome]) -> None:
+    """training_curves.csv and units.csv, and a 'diverged:' line on stdout
+    for each diverged unit."""
+    curve_rows = sorted((row for o in outcomes for row in o.curve_rows),
+                        key=lambda r: (_arch_rank(r["model"]), r["seed"], r["epoch"]))
+    write_csv(out_dir / "training_curves.csv", CURVES_HEADER, curve_rows)
+    unit_rows = sorted((
+        {"lang": o.lang, "model": o.arch, "seed": o.seed, "param_count": o.param_count,
+         "best_epoch": None if o.diverged else o.best_epoch,
+         "best_dev_accuracy": None if o.diverged else o.best_dev_accuracy,
+         "diagnostic": o.diagnostic}
+        for o in outcomes), key=lambda r: (_arch_rank(r["model"]), r["seed"]))
+    write_csv(out_dir / "units.csv", UNITS_HEADER, unit_rows)
+    for o in outcomes:
+        if o.diverged:
+            print(f"diverged: {o.diagnostic}")
 
-    curve_rows: list[dict] = []
-    accuracy_rows: list[dict] = []
-    f1_rows: list[dict] = []
+
+def _emit_eval(out_dir: Path, accuracy_rows: list[dict], f1_rows: list[dict]) -> None:
+    """accuracy.csv and f1.csv."""
+    def key(r):
+        return (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"]))
+
+    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, sorted(accuracy_rows, key=key))
+    write_csv(out_dir / "f1.csv", F1_HEADER, sorted(f1_rows, key=key))
+
+
+def _emit_wug(out_dir: Path, bundle: DataBundle,
+              scored: Iterable[tuple[str, list[dict], dict[str, list[str]]]]) -> None:
+    """ratings.csv, correlations.csv and productions.csv from each unit's
+    (arch, rating rows, lemma -> produced classes), given in unit order."""
     rating_rows: list[dict] = []
     outcomes_by_arch: dict[str, dict[str, list[list[str]]]] = {}
-    models_summary: dict[str, dict] = {}
-
-    for res in results:
-        o = res.outcome
-        curve_rows.extend(o.curve_rows)
-        accuracy_rows.extend(res.accuracy_rows)
-        f1_rows.extend(res.f1_rows)
-        rating_rows.extend(res.rating_rows)
-        arch_outcomes = outcomes_by_arch.setdefault(o.arch, {})
-        for lemma, produced in res.outcomes.items():
+    for arch, rows, outcomes in scored:
+        rating_rows.extend(rows)
+        arch_outcomes = outcomes_by_arch.setdefault(arch, {})
+        for lemma, produced in outcomes.items():
             arch_outcomes.setdefault(lemma, []).append(produced)
-        summary = models_summary.setdefault(o.arch, {
-            "param_count": o.param_count, "seeds": [], "diverged": {},
-            "best_epochs": {},
-        })
-        summary["seeds"].append(o.seed)
-        if o.diverged:
-            summary["diverged"][str(o.seed)] = o.diagnostic
-        else:
-            summary["best_epochs"][str(o.seed)] = o.best_epoch
-
-    curve_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], r["epoch"]))
-    accuracy_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"])))
-    f1_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"])))
     rating_rows.sort(key=lambda r: (_arch_rank(r["seed"].rsplit("-seed", 1)[0]),
                                     _seed_of(r["seed"]), r["lemma"], r["form"]))
-
-    write_csv(out_dir / "training_curves.csv", CURVES_HEADER, curve_rows)
-    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, accuracy_rows)
-    write_csv(out_dir / "f1.csv", F1_HEADER, f1_rows)
     write_csv(out_dir / "ratings.csv", RATINGS_HEADER, rating_rows)
-
     correlation_rows: list[dict] = []
     production_rows: list[dict] = []
-    if bundle.wugs is not None and rating_rows:
+    if bundle.wugs is not None:
         correlation_rows = compute_correlations(bundle.lang, rating_rows, bundle.wugs)
         production_rows = compute_production_rows(
             bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs)
     write_csv(out_dir / "correlations.csv", CORRELATIONS_HEADER, correlation_rows)
     write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER, production_rows)
 
-    for arch, summary in models_summary.items():
-        acc = {}
-        for row in accuracy_rows:
-            if row["model"] == arch:
-                acc.setdefault(row["class"], []).append(float(row["accuracy"]))
-        summary["test_accuracy"] = {
-            cls: dict(zip(("mean", "sd"), _mean_sd(vals)))
-            for cls, vals in sorted(acc.items(), key=lambda kv: _class_rank(kv[0]))
-        }
-        f1s = {}
-        for row in f1_rows:
-            if row["model"] == arch and not (isinstance(row["f1"], float) and math.isnan(row["f1"])):
-                f1s.setdefault(row["class"], []).append(float(row["f1"]))
-        summary["test_f1"] = {
-            cls: dict(zip(("mean", "sd"), _mean_sd(vals)))
-            for cls, vals in sorted(f1s.items(), key=lambda kv: _class_rank(kv[0]))
-        }
-        summary["rating_correlations"] = {
-            row["group"]: {
-                "n": row["n"],
-                "spearman_rho": None if math.isnan(row["spearman_rho"]) else row["spearman_rho"],
-                "spearman_p": None if math.isnan(row["spearman_p"]) else row["spearman_p"],
-                "pearson_r": None if math.isnan(row["pearson_r"]) else row["pearson_r"],
-                "pearson_p": None if math.isnan(row["pearson_p"]) else row["pearson_p"],
-            }
-            for row in correlation_rows if row["model"] == arch
-        }
-
-    summary = {
-        "config": config.to_dict(),
-        "config_hash": config.hash(),
-        "language": bundle.lang,
-        "alphabet_size": len(bundle.alphabet),
-        "data_sizes": {"train": len(bundle.train), "dev": len(bundle.dev),
-                       "test": len(bundle.test),
-                       "wug_items": len(bundle.wugs.items) if bundle.wugs else 0},
-        "models": models_summary,
-        "grid": build_grid(accuracy_rows, f1_rows, correlation_rows),
-    }
-    _write_summary(out_dir / "summary.json", summary)
-    return summary
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if not math.isfinite(f) else f
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
-def _write_summary(path, summary: dict) -> None:
-    blob = json.dumps(_sanitize(summary), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(blob + "\n", encoding="utf-8")
-
 
 # ---------------------------------------------------------------------------
-# staged entry points used by the command line
+# pipeline stages; ``run_experiment`` composes them in one process
+
+
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Train, evaluate and score every unit, then report; returns the
+    summary dict it wrote.  Each unit is evaluated with its model still in
+    memory, so no checkpoint is read back."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bundle = load_data(config)
+    results = execute_units(config)
+    _emit_training(out_dir, [res.outcome for res in results])
+    _emit_eval(out_dir, [row for res in results for row in res.accuracy_rows],
+               [row for res in results for row in res.f1_rows])
+    _emit_wug(out_dir, bundle,
+              [(res.outcome.arch, res.rating_rows, res.outcomes) for res in results])
+    return run_report(config)
 
 
 def run_split(config: ExperimentConfig) -> None:
@@ -757,17 +751,12 @@ def run_split(config: ExperimentConfig) -> None:
 
 
 def run_train(config: ExperimentConfig) -> None:
-    """Train the configured units and write checkpoints plus curves."""
+    """Train the configured units; write checkpoints, curves and units.csv."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig.from_dict({**config.to_dict(), "save_checkpoints": True})
-    results = execute_units(config)
-    curve_rows = [row for res in results for row in res.outcome.curve_rows]
-    curve_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], r["epoch"]))
-    write_csv(out_dir / "training_curves.csv", CURVES_HEADER, curve_rows)
-    diverged = [res.outcome for res in results if res.outcome.diverged]
-    for o in diverged:
-        print(f"diverged: {o.diagnostic}")
+    results = execute_units(config, evaluate=False)
+    _emit_training(out_dir, [res.outcome for res in results])
 
 
 def _load_trained(config: ExperimentConfig, bundle: DataBundle):
@@ -800,11 +789,7 @@ def run_eval(config: ExperimentConfig) -> None:
         f1_rows.extend(f1)
     if not accuracy_rows:
         raise RunnerError("no checkpoints matched the configured architectures/seeds")
-    accuracy_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"])))
-    f1_rows.sort(key=lambda r: (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"])))
-    out_dir = Path(config.out_dir)
-    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, accuracy_rows)
-    write_csv(out_dir / "f1.csv", F1_HEADER, f1_rows)
+    _emit_eval(Path(config.out_dir), accuracy_rows, f1_rows)
 
 
 def run_wug(config: ExperimentConfig) -> None:
@@ -812,64 +797,70 @@ def run_wug(config: ExperimentConfig) -> None:
     bundle = load_data(config)
     if bundle.wugs is None:
         raise RunnerError("wug scoring needs a 'wugs' entry in the config")
-    rating_rows: list[dict] = []
-    outcomes_by_arch: dict[str, dict[str, list[list[str]]]] = {}
-    found = False
-    for arch, seed, model in _load_trained(config, bundle):
-        found = True
-        rows, outcomes = score_wugs(model, bundle, config, arch, seed)
-        rating_rows.extend(rows)
-        arch_outcomes = outcomes_by_arch.setdefault(arch, {})
-        for lemma, produced in outcomes.items():
-            arch_outcomes.setdefault(lemma, []).append(produced)
-    if not found:
+    scored = [(arch, *score_wugs(model, bundle, config, arch, seed))
+              for arch, seed, model in _load_trained(config, bundle)]
+    if not scored:
         raise RunnerError("no checkpoints matched the configured architectures/seeds")
-    rating_rows.sort(key=lambda r: (_arch_rank(r["seed"].rsplit("-seed", 1)[0]),
-                                    _seed_of(r["seed"]), r["lemma"], r["form"]))
-    out_dir = Path(config.out_dir)
-    write_csv(out_dir / "ratings.csv", RATINGS_HEADER, rating_rows)
-    correlation_rows = compute_correlations(bundle.lang, rating_rows, bundle.wugs)
-    write_csv(out_dir / "correlations.csv", CORRELATIONS_HEADER, correlation_rows)
-    production_rows = compute_production_rows(
-        bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs)
-    write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER, production_rows)
+    _emit_wug(Path(config.out_dir), bundle, scored)
+
+
+REPORT_INPUTS = ("units.csv", "accuracy.csv", "f1.csv", "correlations.csv")
 
 
 def run_report(config: ExperimentConfig, merge_dirs: Sequence[str] = ()) -> dict:
-    """Aggregate CSV outputs (possibly from several runs) into summary.json."""
-    dirs = [Path(config.out_dir), *map(Path, merge_dirs)]
-    accuracy_rows: list[dict] = []
-    f1_rows: list[dict] = []
-    correlation_rows: list[dict] = []
-    for d in dirs:
-        for name, sink in (("accuracy.csv", accuracy_rows), ("f1.csv", f1_rows),
-                           ("correlations.csv", correlation_rows)):
-            path = d / name
-            if path.exists():
-                sink.extend(read_csv_rows(path))
-    if not accuracy_rows:
-        raise RunnerError(f"no accuracy.csv found under {[str(d) for d in dirs]}")
+    """Build summary.json from the CSVs of ``out_dir`` and any merged runs.
 
-    def stats(rows, value_col):
-        out: dict[str, dict] = {}
-        for row in rows:
-            if row[value_col] == "":
-                continue
-            model = out.setdefault(f'{row["lang"]}/{row["model"]}', {})
-            model.setdefault(row["class"], []).append(float(row[value_col]))
-        return {
-            model: {cls: dict(zip(("mean", "sd"), _mean_sd(vals)))
-                    for cls, vals in sorted(classes.items(), key=lambda kv: _class_rank(kv[0]))}
-            for model, classes in sorted(out.items())
+    ``models`` describes the units of ``out_dir`` alone, keyed by
+    architecture; ``test_accuracy`` and ``test_f1`` (keyed 'lang/model')
+    and ``grid`` cover every merged directory."""
+    dirs = [Path(config.out_dir), *map(Path, merge_dirs)]
+    tables = [{name: read_csv_rows(d / name) if (d / name).exists() else []
+               for name in REPORT_INPUTS} for d in dirs]
+    if not any(t["units.csv"] or t["accuracy.csv"] for t in tables):
+        raise RunnerError(f"no units.csv or accuracy.csv rows under {[str(d) for d in dirs]}")
+    own = tables[0]
+    merged = {name: [row for t in tables for row in t[name]] for name in REPORT_INPUTS}
+
+    models: dict[str, dict] = {}
+    for row in own["units.csv"]:
+        entry = models.setdefault(row["model"], {
+            "param_count": int(row["param_count"]), "seeds": [], "diverged": {},
+            "best_epochs": {},
+        })
+        entry["seeds"].append(int(row["seed"]))
+        if row["diagnostic"]:
+            entry["diverged"][row["seed"]] = row["diagnostic"]
+        else:
+            entry["best_epochs"][row["seed"]] = int(row["best_epoch"])
+    accuracy = _class_stats(own["accuracy.csv"], "accuracy", lambda r: r["model"])
+    f1 = _class_stats(own["f1.csv"], "f1", lambda r: r["model"])
+    for arch, entry in models.items():
+        entry["test_accuracy"] = accuracy.get(arch, {})
+        entry["test_f1"] = f1.get(arch, {})
+        entry["rating_correlations"] = {
+            row["group"]: {"n": int(row["n"]),
+                           **{col: _finite(row[col]) for col in CORRELATIONS_HEADER[4:]}}
+            for row in own["correlations.csv"] if row["model"] == arch
         }
 
+    def lang_model(row):
+        return f'{row["lang"]}/{row["model"]}'
+
+    bundle = load_data(config)
     summary = {
         "config": config.to_dict(),
         "config_hash": config.hash(),
         "merged_dirs": [str(d) for d in dirs],
-        "test_accuracy": stats(accuracy_rows, "accuracy"),
-        "test_f1": stats(f1_rows, "f1"),
-        "grid": build_grid(accuracy_rows, f1_rows, correlation_rows),
+        "language": bundle.lang,
+        "alphabet_size": len(bundle.alphabet),
+        "data_sizes": {"train": len(bundle.train), "dev": len(bundle.dev),
+                       "test": len(bundle.test),
+                       "wug_items": len(bundle.wugs.items) if bundle.wugs else 0},
+        "models": models,
+        "test_accuracy": _class_stats(merged["accuracy.csv"], "accuracy", lang_model),
+        "test_f1": _class_stats(merged["f1.csv"], "f1", lang_model),
+        "grid": build_grid(merged["accuracy.csv"], merged["f1.csv"],
+                           merged["correlations.csv"]),
     }
     _write_summary(Path(config.out_dir) / "summary.json", summary)
     return summary

@@ -21,6 +21,7 @@ from wugbench.runner import (
     F1_HEADER,
     PRODUCTIONS_HEADER,
     RATINGS_HEADER,
+    UNITS_HEADER,
     DataBundle,
     ExperimentConfig,
     RunnerError,
@@ -33,6 +34,7 @@ from wugbench.runner import (
     run_experiment,
     run_report,
     run_split,
+    run_train,
     run_wug,
     train_unit,
     write_csv,
@@ -245,6 +247,34 @@ def test_run_experiment_survives_divergence(corpora, tmp_path):
     assert rows == []  # header only: the diverged unit contributed nothing
 
 
+def test_staged_report_records_divergence(corpora, tmp_path, capsys):
+    config = _en_config(corpora, tmp_path, architectures=("unilstm_noattn",),
+                        lr=1e308, epochs=2)
+    with np.errstate(all="ignore"):
+        run_train(config)
+    out = capsys.readouterr().out
+    assert out.startswith("diverged: unilstm_noattn seed 1: non-finite")
+    summary = run_report(config)
+    diverged = summary["models"]["unilstm_noattn"]["diverged"]
+    assert diverged == {"1": out[len("diverged: "):].rstrip("\n")}
+    assert summary["models"]["unilstm_noattn"]["best_epochs"] == {}
+
+
+def test_train_does_no_decoding(corpora, tmp_path, monkeypatch):
+    import wugbench.runner as runner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train must stop after the checkpoint")
+
+    monkeypatch.setattr(runner, "eval_test", refuse)
+    monkeypatch.setattr(runner, "score_wugs", refuse)
+    config = _en_config(corpora, tmp_path, architectures=("unilstm_attn",), epochs=1)
+    run_train(config)
+    assert (tmp_path / "checkpoints" / "unilstm_attn-seed1.json").exists()
+    (unit,) = read_csv_rows(tmp_path / "units.csv")
+    assert unit["model"] == "unilstm_attn" and unit["best_epoch"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # full experiment outputs
 
@@ -253,6 +283,7 @@ def test_report_files_and_headers(en_run):
     _, out, _ = en_run
     for name, header in [
         ("training_curves.csv", CURVES_HEADER),
+        ("units.csv", UNITS_HEADER),
         ("accuracy.csv", ACCURACY_HEADER),
         ("f1.csv", F1_HEADER),
         ("ratings.csv", RATINGS_HEADER),
@@ -359,6 +390,9 @@ def test_summary_contents(en_run):
         assert entry["seeds"] == [1]
         assert "all" in entry["test_accuracy"]
         assert "all" in entry["rating_correlations"]
+        # the per-model block and the lang/model block read the same CSV rows
+        assert on_disk["test_accuracy"][f"en/{arch}"] == entry["test_accuracy"]
+    assert on_disk["merged_dirs"] == [str(out)]
     assert "grid" in on_disk
     assert summary["config_hash"] == on_disk["config_hash"]
 
@@ -424,29 +458,25 @@ def test_worker_count_validation(monkeypatch):
 
 
 def test_staged_pipeline_matches_run(corpora, tmp_path):
-    out = tmp_path / "staged"
-    config = _en_config(corpora, out, architectures=("bilstm_noattn",), epochs=2)
+    out = tmp_path / "run"
+    config = _en_config(corpora, out, architectures=("bilstm_noattn", "unilstm_attn"),
+                        seeds=(1, 2), epochs=2)
 
-    from wugbench.runner import run_train
     run_train(config)
     assert (out / "checkpoints" / "bilstm_noattn-seed1.json").exists()
-
     run_eval(config)
-    eval_rows = read_csv_rows(out / "accuracy.csv")
-
     run_wug(config)
-    assert (out / "ratings.csv").exists()
-    assert (out / "correlations.csv").exists()
-
     report = run_report(config)
-    assert (out / "summary.json").exists()
     assert "en/bilstm_noattn" in report["test_accuracy"]
+    names = ["training_curves.csv", "units.csv", "accuracy.csv", "f1.csv",
+             "ratings.csv", "correlations.csv", "productions.csv", "summary.json"]
+    staged = {n: (out / n).read_bytes() for n in names}
 
-    # one-shot pipeline produces the same evaluation numbers
-    out2 = tmp_path / "oneshot"
-    config2 = _en_config(corpora, out2, architectures=("bilstm_noattn",), epochs=2)
-    run_experiment(config2)
-    assert read_csv_rows(out2 / "accuracy.csv") == eval_rows
+    # the one-shot pipeline writes the same files byte for byte
+    summary = run_experiment(config)
+    for n in names:
+        assert (out / n).read_bytes() == staged[n], n
+    assert summary == report
 
 
 def test_eval_rejects_mismatched_data(corpora, tmp_path, de_run):
@@ -531,6 +561,24 @@ def test_build_grid_from_csv_strings():
     assert grid["cells"] == {
         "m/regular": {"performance": 90.0, "human_fit": 0.5}}
     assert "m/irregular" in grid["missing"]
+
+
+@pytest.mark.parametrize("undefined", [float("nan"), ""])
+def test_build_grid_skips_undefined_performance_per_seed(undefined):
+    f1_rows = [
+        {"lang": "de", "model": "m", "seed": 1, "class": "s", "f1": undefined},
+        {"lang": "de", "model": "m", "seed": 2, "class": "s", "f1": 50.0},
+        {"lang": "de", "model": "m", "seed": 1, "class": "e", "f1": 80.0},
+    ]
+    correlation_rows = [
+        {"lang": "de", "model": "m", "group": g, "n": 4, "spearman_rho": 0.1,
+         "spearman_p": 0.9, "pearson_r": r, "pearson_p": 0.5}
+        for g, r in (("s", 0.3), ("e", float("nan")))
+    ]
+    grid = build_grid([], f1_rows, correlation_rows)
+    assert grid["cells"] == {"m/s": {"performance": 50.0, "human_fit": 0.3}}
+    assert "m/s" not in grid["missing"]
+    assert "m/e" in grid["missing"]  # an undefined human fit also leaves a gap
 
 
 def test_compute_correlations_tracks_direction(corpora):
