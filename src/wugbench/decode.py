@@ -1,11 +1,12 @@
 """Decoding: greedy, beam search, ancestral sampling, forced scoring.
 
-All functions drive a model through its ``encode``/``decode_step``
-interface only, so they work for every architecture and for the table
-models used in tests.  Symbol sequences in hypotheses never include the
-start id; the end id is consumed (its probability counts toward the
-score) but not stored.  Greedy and beam search step their hypotheses
-together through ``decode_step_batch`` when the model has it.
+Search and sampling drive a model through ``encode`` and ``decode_step``;
+greedy and beam search step their hypotheses together through the
+optional ``decode_step_batch`` when the model has it.  Forced scoring
+needs ``teacher_forced_logprobs``, the pass training runs, for every
+architecture.  Symbol sequences in hypotheses never include the start
+id; the end id is consumed (its probability counts toward the score) but
+not stored.
 """
 
 from __future__ import annotations
@@ -160,33 +161,14 @@ def beam_search(model, src_ids, width: int, max_len: int | None = None) -> list[
     return pool[:width]
 
 
-def chained_logprobs(model, src_ids, tgt_ids) -> np.ndarray:
-    """Per-step log-probabilities of a forced target via repeated decode_step."""
-    with no_grad():
-        state = model.encode(src_ids)
-        out = np.zeros(len(tgt_ids))
-        prev = BOS
-        for t, sym in enumerate(tgt_ids):
-            probs, state = model.decode_step(state, prev)
-            out[t] = _log(float(probs[sym]))
-            prev = sym
-    return out
-
-
 def force_score(model, src_ids, tgt_ids) -> ForcedScore:
-    """Score a given target sequence (which must end with the end id).
-
-    Uses the model's one-pass scorer when it has one; otherwise chains
-    ``decode_step``.  Both routes give the same result up to rounding.
-    """
+    """Score a given target sequence (which must end with the end id) by
+    the model's teacher-forced pass."""
     tgt_ids = list(tgt_ids)
     if not tgt_ids or tgt_ids[-1] != EOS:
         raise ContractError("force_score: target must be non-empty and end with the end id")
-    if hasattr(model, "forced_logprobs"):
-        with no_grad():
-            steps = np.asarray(model.forced_logprobs(src_ids, tgt_ids), dtype=np.float64)
-    else:
-        steps = chained_logprobs(model, src_ids, tgt_ids)
+    with no_grad():
+        steps = model.teacher_forced_logprobs(src_ids, tgt_ids).data
     raw = float(steps.sum())
     normalized = math.exp(raw / len(tgt_ids)) if math.isfinite(raw) else 0.0
     return ForcedScore(raw, normalized, tuple(float(s) for s in steps))

@@ -264,25 +264,10 @@ def tanh(x: Tensor) -> Tensor:
     return _node(y, (x,), lambda g, y=y: (g * (1.0 - y * y),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # tanh form is stable for large |x|
-    y = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    return _node(y, (x,), lambda g, y=y: (g * y * (1.0 - y),))
-
-
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0.0)
     mask = x.data > 0.0
     return _node(y, (x,), lambda g, mask=mask: (g * mask,))
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return _node(y, (x,), lambda g, y=y: (g * y,))
-
-
-def log(x: Tensor) -> Tensor:
-    return _node(np.log(x.data), (x,), lambda g, d=x.data: (g / d,))
 
 
 def sqrt(x: Tensor) -> Tensor:

@@ -128,6 +128,12 @@ class ExperimentConfig:
             raise RunnerError("at least one seed is required")
         if self.epochs < 1 or self.batch_size < 1 or self.beam_width < 1:
             raise RunnerError("epochs, batch_size and beam_width must be >= 1")
+        for name in ("lr", "clip_norm"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.sample_productions < 0:
+            raise RunnerError("sample_productions must be >= 0")
         for key in self.model_overrides:
             if key != "default" and key not in ARCHITECTURES:
                 raise RunnerError(f"model_overrides key {key!r} is not an architecture")
@@ -772,8 +778,15 @@ def _load_trained(config: ExperimentConfig, bundle: DataBundle):
             arrays, meta = load_checkpoint(path)
             if tuple(meta.get("alphabet", ())) != bundle.alphabet.symbols:
                 raise RunnerError(f"{path}: checkpoint alphabet does not match the data")
-            mcfg = ModelConfig(**meta["model_config"])
-            model = build_model(mcfg, seeded_rng(int(meta["seed"]), INIT_STREAM))
+            mcfg = config.model_config(arch, len(bundle.alphabet))
+            want = {f"model_config.{k}": v for k, v in mcfg.to_dict().items()}
+            got = {f"model_config.{k}": v for k, v in meta.get("model_config", {}).items()}
+            want.update(arch=arch, seed=seed)
+            got.update(arch=meta.get("arch"), seed=meta.get("seed"))
+            differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+            if differ:
+                raise RunnerError(f"{path}: checkpoint does not match the config in {differ}")
+            model = build_model(mcfg, seeded_rng(seed, INIT_STREAM))
             restore_into(model.params, arrays)
             yield arch, seed, model
 

@@ -2,7 +2,7 @@
 
 from .config import ARCHITECTURES, LSTM_ARCHITECTURES, ModelConfig
 from .lstm import LSTMSeq2Seq, LSTMState
-from .model import build_model, count_parameters, sequence_nll
+from .model import build_model, count_parameters
 from .transformer import TransformerSeq2Seq, TransformerState, causal_mask, positional_encoding
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "causal_mask",
     "count_parameters",
     "positional_encoding",
-    "sequence_nll",
 ]

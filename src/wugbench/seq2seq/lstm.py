@@ -35,7 +35,7 @@ from ..ndiff import (
 from ..corpus import BOS
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import sequence_nll
+from .model import nll, target_logprobs
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,11 @@ class LSTMSeq2Seq:
         probs = e / e.sum()
         return probs, LSTMState(h, c, ctx, state.memory, state.keys)
 
-    # -- training ----------------------------------------------------------
+    # -- teacher forcing ---------------------------------------------------
 
-    def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
-        """Negative log-likelihood of tgt_ids (which must end in the end id),
-        summed over timesteps."""
+    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train: bool = False) -> Tensor:
+        """log P(tgt_t | tgt_<t, src) for every position of tgt_ids, which
+        must end in the end id."""
         cfg = self.config
         memory, h, c, enc_final = self._encode(src_ids, train, rng)
         if self.attention:
@@ -205,4 +205,8 @@ class LSTMSeq2Seq:
         f = stack_rows(feats)
         f = dropout(f, cfg.dropout, train, rng)
         logits = affine(f, self.params["out.w"], self.params["out.b"])
-        return sequence_nll(logits, tgt_ids)
+        return target_logprobs(logits, tgt_ids)
+
+    def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
+        """Negative log-likelihood of tgt_ids, summed over timesteps."""
+        return nll(self.teacher_forced_logprobs(src_ids, tgt_ids, rng, train))

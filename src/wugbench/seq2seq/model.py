@@ -5,7 +5,11 @@ Every model exposes the same duck-typed interface:
 - ``params``: name -> Tensor, in a fixed creation order
 - ``encode(src_ids) -> state``
 - ``decode_step(state, prev_id) -> (probs ndarray [V], state)``
-- ``loss(src_ids, tgt_ids, rng=None, train=True) -> scalar Tensor``
+- ``teacher_forced_logprobs(src_ids, tgt_ids, rng=None, train=False) ->
+  Tensor [len(tgt_ids)]``: log P(tgt_t | tgt_<t, src) at every position,
+  as a graph node; training and forced scoring both run it
+- ``loss(src_ids, tgt_ids, rng=None, train=True) -> scalar Tensor``, the
+  negated sum of ``teacher_forced_logprobs``
 
 A model may also offer ``decode_step_batch(states, prev_ids) -> (probs
 [k, V], states)`` to advance several hypotheses of one source at once, and
@@ -26,17 +30,16 @@ from ..ndiff import Tensor, gather, log_softmax, mul, sum_
 from .config import ModelConfig
 
 
-def sequence_nll(logits: Tensor, tgt_ids, weights=None) -> Tensor:
-    """Negative log-likelihood of target ids, summed over rows.
+def target_logprobs(logits: Tensor, tgt_ids) -> Tensor:
+    """log-softmax of logits [N, V] read at tgt_ids [N] -> [N]."""
+    return gather(log_softmax(logits, axis=-1), tgt_ids)
 
-    logits is [N, V] and tgt_ids has length N: one sequence ending with the
-    end id, or several padded ones laid end to end, in which case the 0/1
-    ``weights`` [N] drop the padded rows.
-    """
-    logp = gather(log_softmax(logits, axis=-1), tgt_ids)
+
+def nll(logprobs: Tensor, weights=None) -> Tensor:
+    """Negated sum of log-probabilities; 0/1 ``weights`` drop padded rows."""
     if weights is not None:
-        logp = mul(logp, Tensor(weights))
-    return mul(sum_(logp), Tensor(-1.0))
+        logprobs = mul(logprobs, Tensor(weights))
+    return mul(sum_(logprobs), Tensor(-1.0))
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator):
@@ -45,7 +48,7 @@ def build_model(config: ModelConfig, rng: np.random.Generator):
     Parameters are drawn from ``rng`` in a fixed order, so equal (config,
     rng state) pairs produce bit-identical models.
     """
-    # local imports: both submodules use sequence_nll from here
+    # local imports: both submodules use the helpers above
     if config.arch == "transformer":
         from .transformer import TransformerSeq2Seq
         return TransformerSeq2Seq(config, rng)

@@ -7,7 +7,8 @@ Teacher-forced work (training and forced scoring) runs a whole batch of
 (source, target) pairs as one graph.  Sequences are right-padded and laid
 out as rows [B*T, D]; attention adds a key-padding mask over the source,
 and the causal mask alone keeps padded target positions away from real
-ones.  ``loss`` is the one-pair case of ``batch_loss``.
+ones.  ``teacher_forced_logprobs``, and with it ``loss``, is the one-pair
+case of that graph.
 
 Decoding is incremental, as in fairseq (Ott et al. 2019): ``encode``
 projects the encoder memory to every decoder layer's cross-attention keys
@@ -43,7 +44,7 @@ from ..ndiff import (
 )
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import sequence_nll
+from .model import nll, target_logprobs
 
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
 
@@ -226,8 +227,8 @@ class TransformerSeq2Seq:
         return affine(x, self.params["out.w"], self.params["out.b"])
 
     def _teacher_forced(self, pairs, train: bool, rng):
-        """Logits [B*T, V] for right-padded (source, target) pairs, with the
-        flat target ids [B*T] and 0/1 weights marking real positions."""
+        """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
+        pairs, with 0/1 weights [B*T] marking real positions."""
         src, src_len = _padded([s for s, _ in pairs])
         if src_len.min() == 0:
             raise ContractError("encode: empty source sequence")
@@ -241,7 +242,7 @@ class TransformerSeq2Seq:
         for l, cross in enumerate(self._cross_kv(memory, batch)):
             x, _ = self._dec_block(l, x, batch, cross, causal, mask, None, train, rng)
         weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
-        return self._logits(x), tgt.reshape(-1), weights.reshape(-1)
+        return target_logprobs(self._logits(x), tgt.reshape(-1)), weights.reshape(-1)
 
     # -- decoding interface --------------------------------------------------
 
@@ -285,22 +286,17 @@ class TransformerSeq2Seq:
         probs, states = self.decode_step_batch([state], [prev_id])
         return probs[0], states[0]
 
-    def forced_logprobs(self, src_ids, tgt_ids) -> np.ndarray:
-        """log P(tgt_t | tgt_<t, src) for every position, via one causal pass."""
-        with no_grad():
-            logits, _, _ = self._teacher_forced([(src_ids, tgt_ids)], False, None)
-        z = logits.data
-        shifted = z - z.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return logp[np.arange(len(tgt_ids)), np.asarray(tgt_ids, dtype=np.intp)]
+    # -- teacher forcing -----------------------------------------------------
 
-    # -- training ------------------------------------------------------------
+    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train: bool = False) -> Tensor:
+        """log P(tgt_t | tgt_<t, src) for every position, via one causal pass."""
+        logprobs, _ = self._teacher_forced([(src_ids, tgt_ids)], train, rng)
+        return logprobs
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every
         target ending in the end id, as one padded graph."""
-        logits, targets, weights = self._teacher_forced(pairs, train, rng)
-        return sequence_nll(logits, targets, weights)
+        return nll(*self._teacher_forced(pairs, train, rng))
 
     def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
-        return self.batch_loss([(src_ids, tgt_ids)], rng, train)
+        return nll(self.teacher_forced_logprobs(src_ids, tgt_ids, rng, train))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from wugbench.corpus import BOS, EOS
-from wugbench.ndiff import backward, no_grad
+from wugbench.ndiff import Tensor, backward, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,8 @@ class TableModel:
 
     ``table`` maps the tuple of symbols generated so far to a probability
     vector over the vocabulary; missing prefixes fall back to uniform.
-    State is just the tuple of ids fed to the decoder.
+    State is just the tuple of ids fed to the decoder.  Its teacher-forced
+    pass chains its own ``decode_step``.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray], vocab_size: int):
@@ -42,6 +43,9 @@ class TableModel:
         if probs is None:
             probs = np.full(self.vocab_size, 1.0 / self.vocab_size)
         return probs.copy(), fed
+
+    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train=False):
+        return Tensor(chained_logprobs(self, src_ids, tgt_ids))
 
 
 def random_table_model(rng: np.random.Generator, vocab_size: int,
@@ -68,7 +72,21 @@ def random_table_model(rng: np.random.Generator, vocab_size: int,
 
 
 # ---------------------------------------------------------------------------
-# search oracles
+# search and scoring oracles
+
+
+def chained_logprobs(model, src_ids, tgt_ids) -> np.ndarray:
+    """Per-step log-probabilities of a forced target via repeated decode_step."""
+    with no_grad():
+        state = model.encode(src_ids)
+        out = np.zeros(len(tgt_ids))
+        prev = BOS
+        for t, sym in enumerate(tgt_ids):
+            probs, state = model.decode_step(state, prev)
+            p = float(probs[sym])
+            out[t] = math.log(p) if p > 0.0 else -math.inf
+            prev = sym
+    return out
 
 
 def rescore_prefix(model, src_ids, prefix) -> float:

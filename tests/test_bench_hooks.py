@@ -16,6 +16,8 @@ import pytest
 import datagen
 from wugbench import corpus as cp
 from wugbench import runner
+from wugbench.ndiff import Adam
+from wugbench.seq2seq import LSTMSeq2Seq, TransformerSeq2Seq
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -65,13 +67,20 @@ def test_runner_calls_hooked_names_through_globals(tracer):
         assert name in loads, name
 
 
-def test_stage_spans_record_each_unit(tracer, tmp_path, monkeypatch):
-    # register the stage functions with monkeypatch so the tracer's
-    # wrappers are undone after the test
-    for name in tracer.STAGES:
-        monkeypatch.setattr(runner, name, getattr(runner, name))
-    spans = tracer.install(tmp_path / "trace", full=False).spans
+def _undo_on_teardown(monkeypatch, tracer):
+    """Register everything ``install(..., full=True)`` may wrap with
+    monkeypatch, so the wrappers are undone after the test."""
+    targets = [(runner, name) for name in _hooked_names(tracer)]
+    targets += [(cp, name) for name in tracer.CORPUS_LAYERS]
+    targets += [(Adam, "step")]
+    targets += [(cls, attr) for cls in (LSTMSeq2Seq, TransformerSeq2Seq)
+                for attr in ("loss", "batch_loss", "decode_step", "decode_step_batch")]
+    for owner, attr in targets:
+        if hasattr(owner, attr):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))
 
+
+def _tiny_run(tmp_path, architectures):
     rng = np.random.default_rng(5)
     examples = datagen.make_english(30, rng, irregular_rate=0.25)
     wugs = datagen.make_english_wugs(2, rng, avoid={ex.lemma for ex in examples})
@@ -79,11 +88,31 @@ def test_stage_spans_record_each_unit(tracer, tmp_path, monkeypatch):
     cp.write_wugs(tmp_path / "wugs.tsv", wugs)
     config = runner.ExperimentConfig(
         out_dir=str(tmp_path / "run"), dataset=str(tmp_path / "en.tsv"),
-        wugs=str(tmp_path / "wugs.tsv"), architectures=("unilstm_noattn",),
+        wugs=str(tmp_path / "wugs.tsv"), architectures=architectures,
         seeds=(1,), epochs=1, batch_size=8, beam_width=2, save_checkpoints=False,
         model_overrides={"default": {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6,
-                                     "enc_layers": 1}})
+                                     "enc_layers": 1, "d_model": 8, "ffn_dim": 16,
+                                     "heads": 2, "enc_blocks": 1, "dec_blocks": 1}})
     runner.run_experiment(config)
+
+
+def test_stage_spans_record_each_unit(tracer, tmp_path, monkeypatch):
+    _undo_on_teardown(monkeypatch, tracer)
+    spans = tracer.install(tmp_path / "trace", full=False).spans
+    _tiny_run(tmp_path, ("unilstm_noattn",))
     assert sorted((s["name"], s["arch"]) for s in spans) == [
         ("eval_test", "unilstm_noattn"), ("score_wugs", "unilstm_noattn"),
         ("train_unit", "unilstm_noattn")]
+
+
+def test_full_trace_records_loss_and_force_spans(tracer, tmp_path, monkeypatch):
+    # the per-layer loss and forced-scoring metrics read these spans; a
+    # renamed model method or runner name would leave them silently empty
+    _undo_on_teardown(monkeypatch, tracer)
+    spans = tracer.install(tmp_path / "trace", full=True).spans
+    architectures = ("unilstm_attn", "transformer")
+    _tiny_run(tmp_path, architectures)
+    recorded = {(s["name"], s["arch"]) for s in spans}
+    for arch in architectures:
+        assert ("seq2seq.loss", arch) in recorded, arch
+        assert ("decode.force", arch) in recorded, arch

@@ -130,6 +130,24 @@ def test_run_command_with_overrides(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_refuses_checkpoint_of_other_model_config(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["out_dir"] = str(tmp_path / "run")
+    config["epochs"] = 1
+    trained = tmp_path / "hidden8.json"
+    config["model_overrides"] = {"default": {**TINY_DIMS, "hidden_dim": 8}}
+    trained.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(trained)]) == 0
+    other = tmp_path / "hidden10.json"
+    config["model_overrides"] = {"default": {**TINY_DIMS, "hidden_dim": 10}}
+    other.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(other)]) == 1
+    assert "model_config.hidden_dim" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
 def test_report_merge_flag(workspace, tmp_path, capsys):
     root, config_path = workspace
     # merge the run dir with itself through --merge: rows double up but the

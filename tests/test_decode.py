@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     TableModel,
+    chained_logprobs,
     enumeration_beam,
     exhaustive_best,
     random_table_model,
@@ -16,13 +17,20 @@ from wugbench.corpus import EOS
 from wugbench.decode import (
     ForcedScore,
     beam_search,
-    chained_logprobs,
     default_max_len,
     force_score,
     greedy_decode,
     sample_decode,
 )
+from wugbench.ndiff import INIT_STREAM, seeded_rng
 from wugbench.ndiff.tensor import ContractError
+from wugbench.seq2seq import (
+    ARCHITECTURES,
+    LSTMSeq2Seq,
+    ModelConfig,
+    TransformerSeq2Seq,
+    build_model,
+)
 
 SRC = [3, 4]
 
@@ -243,3 +251,21 @@ def test_chained_logprobs_match_rescoring():
     tgt = [3, 4, 3, EOS]
     steps = chained_logprobs(model, SRC, tgt)
     assert steps.sum() == pytest.approx(rescore_prefix(model, SRC, tuple(tgt)), abs=1e-12)
+
+
+def test_force_score_runs_only_the_teacher_forced_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("force_score stepped the decoder")
+
+    for cls in (LSTMSeq2Seq, TransformerSeq2Seq):
+        for attr in ("decode_step", "decode_step_batch"):
+            monkeypatch.setattr(cls, attr, refuse, raising=False)
+    tiny = dict(emb_dim=4, hidden_dim=3, attn_dim=3, enc_layers=1, d_model=8,
+                ffn_dim=12, heads=2, enc_blocks=1, dec_blocks=1)
+    for arch in ARCHITECTURES:
+        model = build_model(ModelConfig(arch=arch, vocab_size=8, **tiny),
+                            seeded_rng(1, INIT_STREAM))
+        score = force_score(model, SRC, [5, 6, EOS])
+        assert len(score.step_logprobs) == 3, arch
+        loss = model.loss(SRC, [5, 6, EOS], train=False).item()
+        assert score.raw_logprob == pytest.approx(-loss, abs=1e-12), arch

@@ -60,10 +60,7 @@ def test_nonlinearity_grads(trial):
     off = nd.Tensor(np.where(np.abs(x.data) < 0.1, x.data + 0.5, x.data),
                     requires_grad=True)
     _check(lambda t: nd.sum_(nd.tanh(t)), x)
-    _check(lambda t: nd.sum_(nd.sigmoid(t)), x)
     _check(lambda t: nd.sum_(nd.relu(t)), off)
-    _check(lambda t: nd.sum_(nd.exp(t)), x)
-    _check(lambda t: nd.sum_(nd.log(t)), pos)
     _check(lambda t: nd.sum_(nd.sqrt(t)), pos)
 
 

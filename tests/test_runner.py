@@ -139,6 +139,16 @@ def test_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"out_dir": "x", "dataset": "d", "leraning_rate": 1})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -0.001), ("lr", "0.1"),
+    ("clip_norm", float("nan")), ("clip_norm", float("inf")), ("clip_norm", 0.0),
+    ("clip_norm", -5.0), ("sample_productions", -1),
+])
+def test_config_from_dict_rejects_bad_training_values(key, value):
+    with pytest.raises(RunnerError, match=key):
+        ExperimentConfig.from_dict({"out_dir": "x", "dataset": "d", key: value})
+
+
 def test_config_file_roundtrip(tmp_path):
     config = ExperimentConfig(out_dir="out", dataset="d.tsv", seeds=(1, 2),
                               model_overrides={"default": {"emb_dim": 16}})
@@ -484,6 +494,17 @@ def test_eval_rejects_mismatched_data(corpora, tmp_path, de_run):
     # point a config at the de checkpoints but the en dataset
     config = _en_config(corpora, de_out, architectures=("unilstm_noattn",))
     with pytest.raises(RunnerError, match="alphabet"):
+        run_eval(config)
+
+
+def test_eval_rejects_checkpoint_of_another_unit(corpora, tmp_path, de_run):
+    de_config, de_out, _ = de_run
+    (tmp_path / "checkpoints").mkdir()
+    (tmp_path / "checkpoints" / "unilstm_noattn-seed3.json").write_bytes(
+        (de_out / "checkpoints" / "unilstm_noattn-seed1.json").read_bytes())
+    config = ExperimentConfig.from_dict(
+        {**de_config.to_dict(), "out_dir": str(tmp_path), "seeds": [3]})
+    with pytest.raises(RunnerError, match=r"\['seed'\]"):
         run_eval(config)
 
 

@@ -157,7 +157,7 @@ def test_transformer_forced_logprobs_match_steps():
     model = tiny_model("transformer", seed=3)
     src = [3, 4, 5]
     tgt = [5, 6, 2]
-    lps = model.forced_logprobs(src, tgt)
+    lps = model.teacher_forced_logprobs(src, tgt).data
     assert lps.shape == (3,)
     state = model.encode(src)
     prev = 1
@@ -208,10 +208,10 @@ def test_transformer_decoder_is_causal():
     # the forced score of a shared prefix must not depend on the suffix
     model = tiny_model("transformer", seed=9)
     src = [3, 4]
-    a = model.forced_logprobs(src, [5, 6, 2])
-    b = model.forced_logprobs(src, [5, 7, 3])
+    a = model.teacher_forced_logprobs(src, [5, 6, 2]).data
+    b = model.teacher_forced_logprobs(src, [5, 7, 3]).data
     np.testing.assert_allclose(a[:1], b[:1], atol=1e-12)
-    c = model.forced_logprobs(src, [5, 6, 3])
+    c = model.teacher_forced_logprobs(src, [5, 6, 3]).data
     np.testing.assert_allclose(a[:2], c[:2], atol=1e-12)
 
 
