@@ -1,12 +1,12 @@
 """Decoding: greedy, beam search, ancestral sampling, forced scoring.
 
-Search and sampling drive a model through ``encode`` and ``decode_step``;
-greedy and beam search step their hypotheses together through the
-optional ``decode_step_batch`` when the model has it.  Forced scoring
-needs ``teacher_forced_logprobs``, the pass training runs, for every
-architecture.  Symbol sequences in hypotheses never include the start
-id; the end id is consumed (its probability counts toward the score) but
-not stored.
+Everything here drives a model through the one protocol of
+``seq2seq.model``.  Greedy and beam search step all their live
+hypotheses together through ``decode_step_batch``, which every model
+has; sampling uses its one-row case ``decode_step``.  Forced scoring runs
+``teacher_forced_logprobs``, the pass training runs.  Symbol sequences in
+hypotheses never include the start id; the end id is consumed (its
+probability counts toward the score) but not stored.
 """
 
 from __future__ import annotations
@@ -59,13 +59,7 @@ def _extend(model, logprobs, states, prev_ids):
     """One decoding step for hypotheses fed ``prev_ids``: returns the scores
     of every continuation, logprob + log P(sym) as [k, V], and the stepped
     states.  Greedy decoding is the k=1 case of what beam search runs."""
-    step = getattr(model, "decode_step_batch", None)
-    if step is not None:
-        probs, states = step(states, prev_ids)
-    else:
-        rows = [model.decode_step(s, p) for s, p in zip(states, prev_ids)]
-        probs = np.stack([p for p, _ in rows])
-        states = [s for _, s in rows]
+    probs, states = model.decode_step_batch(states, prev_ids)
     with np.errstate(divide="ignore"):
         return np.asarray(logprobs)[:, None] + np.log(probs), states
 

@@ -154,11 +154,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` for every node feeding root.
+    """Accumulate d(root)/d(leaf) into ``grad`` for every leaf (node without
+    a VJP, such as a parameter) feeding root.
 
     ``root`` must be scalar.  Within one call gradients propagate through a
-    scratch table, so repeated calls without resetting grads add exactly one
-    more copy of the gradient (accumulation semantics).
+    scratch table, which drops an interior node's entry once it has reached
+    the node's parents.  Repeated calls without resetting grads add exactly
+    one more copy of the gradient (accumulation semantics).
 
     A VJP may hand one array to several parents (``add`` passes ``g``
     through), so a table entry is written in place only once it is a buffer
@@ -187,8 +189,10 @@ def backward(root: Tensor) -> None:
     local: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     owned: set[int] = set()
     for node in reversed(topo):
-        g = local.get(id(node))
-        if g is None or node._vjp is None:
+        if node._vjp is None:
+            continue
+        g = local.pop(id(node), None)
+        if g is None:
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not p.requires_grad:
@@ -395,18 +399,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(data, (x,), vjp)
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    """x[i] along the first axis (drops the axis)."""
-    data = x.data[i]
-
-    def vjp(g, shape=x.shape, i=i):
-        out = np.zeros(shape)
-        out[i] = g
-        return (out,)
-
-    return _node(data, (x,), vjp)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
     return _node(data, (x,), lambda g, s=x.shape: (g.reshape(s),))
@@ -417,17 +409,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     data = x.data.transpose(axes)
     inv = tuple(np.argsort(axes))
     return _node(data, (x,), lambda g, inv=inv: (g.transpose(inv),))
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shaped 1-D tensors into a matrix [n, d]."""
-    tensors = tuple(tensors)
-    data = np.stack([t.data for t in tensors], axis=0)
-
-    def vjp(g, n=len(tensors)):
-        return tuple(g[i] for i in range(n))
-
-    return _node(data, tensors, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +511,26 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 # fused recurrent cell
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step, fused: returns concat([h', c']) as a [2H] vector.
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
+              live: np.ndarray | None = None) -> Tensor:
+    """One LSTM step over rows, fused: returns concat([h', c']) as [B, 2H].
 
-    ``w`` is [4H, Dx+H] with gate order (input, forget, cell, output);
-    fusing the whole cell into one node keeps per-step graphs small.
+    ``x`` is [B, Dx] and ``h``, ``c`` are [B, H]; ``w`` is [4H, Dx+H] with
+    gate order (input, forget, cell, output).  ``live`` is an optional 0/1
+    vector [B]: a dead row's output is its input state, and its gradient
+    passes straight through to ``h`` and ``c`` and reaches nothing else,
+    so a padded position leaves the state of its row untouched.  Fusing
+    the whole cell into one node keeps per-step graphs small.
     """
-    hsize = h.shape[0]
-    if w.shape != (4 * hsize, x.shape[0] + hsize):
-        raise ShapeError(
-            f"lstm_cell: weight {w.shape} does not match input {x.shape} + hidden {h.shape}"
-        )
-    xh = np.concatenate([x.data, h.data])
-    z = w.data @ xh + b.data
-    zi, zf, zg, zo = np.split(z, 4)
+    hsize = h.shape[-1]
+    if (x.ndim != 2 or h.shape != c.shape or h.shape != (x.shape[0], hsize)
+            or w.shape != (4 * hsize, x.shape[1] + hsize)):
+        raise ShapeError(f"lstm_cell: need x [B, Dx], h and c [B, H] and w [4H, Dx+H], "
+                         f"got {x.shape}, {h.shape}, {c.shape} and {w.shape}")
+    dead = None if live is None or np.all(live) else ~np.asarray(live, dtype=bool)[:, None]
+    xh = np.concatenate([x.data, h.data], axis=1)
+    z = xh @ w.data.T + b.data
+    zi, zf, zg, zo = np.split(z, 4, axis=1)
     gi = 0.5 * (1.0 + np.tanh(0.5 * zi))
     gf = 0.5 * (1.0 + np.tanh(0.5 * zf))
     gg = np.tanh(zg)
@@ -551,18 +538,26 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor) -> Tensor:
     c2 = gf * c.data + gi * gg
     t = np.tanh(c2)
     h2 = go * t
-    data = np.concatenate([h2, c2])
+    if dead is not None:
+        h2 = np.where(dead, h.data, h2)
+        c2 = np.where(dead, c.data, c2)
+    data = np.concatenate([h2, c2], axis=1)
 
-    def vjp(g, xh=xh, gi=gi, gf=gf, gg=gg, go=go, t=t,
-            cdata=c.data, wdata=w.data, hsize=hsize, dx=x.shape[0]):
-        gh2 = g[:hsize]
-        gc2 = g[hsize:] + gh2 * go * (1.0 - t * t)
-        dzi = (gc2 * gg) * gi * (1.0 - gi)
-        dzf = (gc2 * cdata) * gf * (1.0 - gf)
-        dzg = (gc2 * gi) * (1.0 - gg * gg)
+    def vjp(g, xh=xh, gi=gi, gf=gf, gg=gg, go=go, t=t, dead=dead,
+            cdata=c.data, wdata=w.data, hsize=hsize, dx=x.shape[1]):
+        gh2, gc2 = g[:, :hsize], g[:, hsize:]
+        gc = gc2 + gh2 * go * (1.0 - t * t)
+        dzi = (gc * gg) * gi * (1.0 - gi)
+        dzf = (gc * cdata) * gf * (1.0 - gf)
+        dzg = (gc * gi) * (1.0 - gg * gg)
         dzo = (gh2 * t) * go * (1.0 - go)
-        dz = np.concatenate([dzi, dzf, dzg, dzo])
-        gxh = wdata.T @ dz
-        return (gxh[:dx], gxh[dx:], gc2 * gf, np.outer(dz, xh), dz)
+        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
+        if dead is not None:
+            dz = np.where(dead, 0.0, dz)
+        gxh = dz @ wdata
+        gh, gc = gxh[:, dx:], gc * gf
+        if dead is not None:  # a dead row's output is its input state
+            gh, gc = np.where(dead, gh2, gh), np.where(dead, gc2, gc)
+        return (gxh[:, :dx], gh, gc, dz.T @ xh, dz.sum(axis=0))
 
     return _node(data, (x, h, c, w, b), vjp)

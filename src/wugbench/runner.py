@@ -128,15 +128,20 @@ class ExperimentConfig:
             raise RunnerError("at least one seed is required")
         if self.epochs < 1 or self.batch_size < 1 or self.beam_width < 1:
             raise RunnerError("epochs, batch_size and beam_width must be >= 1")
-        for name in ("lr", "clip_norm"):
-            value = getattr(self, name)
+        for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
         if self.sample_productions < 0:
             raise RunnerError("sample_productions must be >= 0")
-        for key in self.model_overrides:
+        if not isinstance(self.model_overrides, dict):
+            raise RunnerError(f"model_overrides must be a mapping, got {self.model_overrides!r}")
+        tunable = set(ModelConfig.__dataclass_fields__) - {"arch", "vocab_size"}
+        for key, overrides in self.model_overrides.items():
             if key != "default" and key not in ARCHITECTURES:
                 raise RunnerError(f"model_overrides key {key!r} is not an architecture")
+            if not isinstance(overrides, dict) or not set(overrides) <= tunable:
+                raise RunnerError(f"model_overrides[{key!r}] must map ModelConfig fields other "
+                                  f"than arch and vocab_size to values, got {overrides!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -200,12 +205,17 @@ class DataBundle:
     alphabet: cp.Alphabet
 
 
+def _split(config: ExperimentConfig):
+    """(lang, train, dev, test) of the config's one dataset, split by class."""
+    lang, examples = cp.parse_dataset(config.dataset)
+    rng = seeded_rng(config.split_seed, SHUFFLE_STREAM)
+    return (lang, *cp.split_dataset(examples, config.split_ratios, rng,
+                                    stratify=lambda ex: ex.cls))
+
+
 def load_data(config: ExperimentConfig) -> DataBundle:
     if config.dataset is not None:
-        lang, examples = cp.parse_dataset(config.dataset)
-        rng = seeded_rng(config.split_seed, SHUFFLE_STREAM)
-        train, dev, test = cp.split_dataset(
-            examples, config.split_ratios, rng, stratify=lambda ex: ex.cls)
+        lang, train, dev, test = _split(config)
     else:
         lang, train = cp.parse_dataset(config.train)
         lang_dev, dev = cp.parse_dataset(config.dev)
@@ -233,17 +243,6 @@ def _greedy_accuracy(model, alphabet: cp.Alphabet,
         hyp = greedy_decode(model, alphabet.encode_source(ex.tags, ex.lemma))
         preds.append(alphabet.decode(hyp.symbols))
     return exact_match_accuracy(golds, preds)
-
-
-def _batch_losses(model, pairs, rng):
-    """Training losses of one batch, whose gradients sum to the batch's: a
-    single padded graph where the model has ``batch_loss``, else one graph
-    per example."""
-    if hasattr(model, "batch_loss"):
-        yield model.batch_loss(pairs, rng=rng, train=True)
-    else:
-        for src, tgt in pairs:
-            yield model.loss(src, tgt, rng=rng, train=True)
 
 
 @dataclass
@@ -284,15 +283,16 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
             for start in range(0, len(order), config.batch_size):
                 batch = order[start:start + config.batch_size]
                 optim.zero_grad()
-                for loss in _batch_losses(model, [encoded[i] for i in batch], dropout_rng):
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise TrainingDiverged(
-                            f"{arch} seed {seed}: non-finite loss {value} at "
-                            f"epoch {epoch}, batch {start // config.batch_size + 1}"
-                        )
-                    epoch_loss += value
-                    backward(loss)
+                loss = model.batch_loss([encoded[i] for i in batch], rng=dropout_rng, train=True)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDiverged(
+                        f"{arch} seed {seed}: non-finite loss {value} at "
+                        f"epoch {epoch}, batch {start // config.batch_size + 1}"
+                    )
+                epoch_loss += value
+                backward(loss)
+                del loss  # free this batch's graph before the next one is built
                 for p in model.params.values():
                     if p.grad is not None:
                         p.grad /= len(batch)
@@ -746,10 +746,7 @@ def run_split(config: ExperimentConfig) -> None:
     """Write train/dev/test TSVs for a config that names one dataset."""
     if config.dataset is None:
         raise RunnerError("split needs a config with a 'dataset' entry")
-    lang, examples = cp.parse_dataset(config.dataset)
-    rng = seeded_rng(config.split_seed, SHUFFLE_STREAM)
-    train, dev, test = cp.split_dataset(
-        examples, config.split_ratios, rng, stratify=lambda ex: ex.cls)
+    lang, train, dev, test = _split(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("dev", dev), ("test", test)):

@@ -8,6 +8,14 @@ Decoder: single-layer LSTM with input feeding (previous context vector is
 concatenated to the symbol embedding).  Attentional variants use additive
 attention over encoder outputs; the others reuse the final encoder state
 as a constant context, which is the only difference between the variants.
+
+Every pass steps rows, one per sequence, through one ``lstm_cell`` per
+timestep.  Teacher-forced work runs a batch of right-padded (source,
+target) pairs as one graph.  The encoder's rows are dead at padded
+positions: going forward a row carries its last real state to the end,
+going backward its zero start state waits for its last symbol.  Attention
+masks padded source positions; padded targets come last and get weight 0.
+``decode_step_batch`` steps k hypotheses of one source as k rows.
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import BOS
 from ..ndiff import (
     Tensor,
+    add,
     affine,
     concat,
     dropout,
@@ -25,31 +35,29 @@ from ..ndiff import (
     lstm_cell,
     matmul,
     narrow,
+    no_grad,
     parameter,
     reshape,
-    row,
     softmax,
-    stack_rows,
     tanh,
 )
-from ..corpus import BOS
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import nll, target_logprobs
+from .model import Seq2Seq, _key_mask, _padded, target_logprobs
 
 
 @dataclass(frozen=True)
 class LSTMState:
-    """Decoder state between steps; immutable so search can fork it."""
+    """Decoder state of one hypothesis; immutable so search can fork it."""
 
-    h: Tensor
-    c: Tensor
-    ctx: Tensor
-    memory: Tensor | None  # [S, ctx_dim] encoder outputs, attentional only
-    keys: Tensor | None    # [S, attn_dim] pre-projected memory
+    h: np.ndarray
+    c: np.ndarray
+    ctx: np.ndarray              # context vector fed with the next input
+    memory: np.ndarray | None    # [S, ctx_dim] encoder outputs, attentional only
+    keys: np.ndarray | None      # [S, attn_dim] pre-projected memory
 
 
-class LSTMSeq2Seq:
+class LSTMSeq2Seq(Seq2Seq):
     """One of the four LSTM architectures, chosen by config.arch."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -104,109 +112,112 @@ class LSTMSeq2Seq:
 
     # -- encoder -----------------------------------------------------------
 
-    def _run_direction(self, xs: Tensor, w: Tensor, b: Tensor, reverse: bool):
-        """One LSTM sweep over the rows of xs; returns (rows per t, h, c)."""
+    def _sweep(self, xs, w: Tensor, b: Tensor, live: np.ndarray, reverse: bool):
+        """One LSTM direction over the step inputs xs, each [B, Dx], with
+        rows dead where ``live`` [T, B] is 0; returns (h per step, h, c)."""
         H = self.config.hidden_dim
-        steps = range(xs.shape[0])
-        if reverse:
-            steps = reversed(steps)
-        h = Tensor(np.zeros(H))
-        c = Tensor(np.zeros(H))
-        out: list[Tensor | None] = [None] * xs.shape[0]
-        for t in steps:
-            hc = lstm_cell(row(xs, t), h, c, w, b)
-            h = narrow(hc, 0, 0, H)
-            c = narrow(hc, 0, H, H)
+        h = c = Tensor(np.zeros((xs[0].shape[0], H)))
+        out: list[Tensor | None] = [None] * len(xs)
+        steps = range(len(xs))
+        for t in (reversed(steps) if reverse else steps):
+            hc = lstm_cell(xs[t], h, c, w, b, live[t])
+            h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
             out[t] = h
         return out, h, c
 
-    def _encode(self, src_ids, train: bool, rng):
-        if len(src_ids) == 0:
+    def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
+        """Decoder start for padded source ids [B, S], as the LSTMState
+        fields of B rows: memory is [B, S, ctx_dim] and keys [B, S, attn_dim]."""
+        if src_len.min() == 0:
             raise ContractError("encode: empty source sequence")
         cfg = self.config
-        x = embedding_lookup(self.params["emb.src"], src_ids)
-        h_fin = c_fin = None
+        batch, width = src.shape
+        live = np.arange(width)[:, None] < src_len[None, :]
+        xs = [embedding_lookup(self.params["emb.src"], src[:, t]) for t in range(width)]
+        directions = ("fwd", "bwd") if self.bidirectional else ("fwd",)
         for layer in range(cfg.enc_layers):
-            fwd, h_f, c_f = self._run_direction(
-                x, self.params[f"enc.{layer}.fwd.w"], self.params[f"enc.{layer}.fwd.b"],
-                reverse=False)
+            if layer > 0:
+                xs = [dropout(x, cfg.dropout, train, rng) for x in xs]
+            outs, hs, cs = zip(*(
+                self._sweep(xs, self.params[f"enc.{layer}.{d}.w"],
+                            self.params[f"enc.{layer}.{d}.b"], live, reverse=d == "bwd")
+                for d in directions))
             if self.bidirectional:
-                bwd, h_b, c_b = self._run_direction(
-                    x, self.params[f"enc.{layer}.bwd.w"], self.params[f"enc.{layer}.bwd.b"],
-                    reverse=True)
-                rows = [concat([f, bk]) for f, bk in zip(fwd, bwd)]
-                h_fin, c_fin = concat([h_f, h_b]), concat([c_f, c_b])
+                xs = [concat(pair, axis=1) for pair in zip(*outs)]
+                h_fin, c_fin = concat(hs, axis=1), concat(cs, axis=1)
             else:
-                rows = fwd
-                h_fin, c_fin = h_f, c_f
-            x = stack_rows(rows)
-            if layer < cfg.enc_layers - 1:
-                x = dropout(x, cfg.dropout, train, rng)
+                (xs,), (h_fin,), (c_fin,) = outs, hs, cs
         h0 = tanh(affine(h_fin, self.params["bridge.h.w"], self.params["bridge.h.b"]))
         c0 = tanh(affine(c_fin, self.params["bridge.c.w"], self.params["bridge.c.b"]))
-        return x, h0, c0, h_fin
+        if not self.attention:
+            return h0, c0, h_fin, None, None
+        rows = reshape(concat(xs, axis=1), (batch * width, self.ctx_dim))
+        keys = affine(rows, self.params["attn.key.w"])
+        return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))),
+                reshape(rows, (batch, width, -1)), reshape(keys, (batch, width, -1)))
 
     def encode(self, src_ids) -> LSTMState:
-        memory, h0, c0, enc_final = self._encode(src_ids, train=False, rng=None)
-        if self.attention:
-            keys = affine(memory, self.params["attn.key.w"])
-            ctx0 = Tensor(np.zeros(self.ctx_dim))
-            return LSTMState(h0, c0, ctx0, memory, keys)
-        return LSTMState(h0, c0, enc_final, None, None)
+        with no_grad():
+            start = self._encode(*_padded([src_ids]), False, None)
+        return LSTMState(*(None if t is None else t.data[0] for t in start))
 
     # -- decoder -----------------------------------------------------------
 
-    def _attend(self, h: Tensor, memory: Tensor, keys: Tensor) -> Tensor:
-        q = affine(h, self.params["attn.query.w"])
-        e = tanh(keys + q)
-        scores = reshape(affine(e, reshape(self.params["attn.v"], (1, -1))), (-1,))
-        weights = softmax(scores)
-        return reshape(matmul(reshape(weights, (1, -1)), memory), (-1,))
+    def _attend(self, h: Tensor, memory: Tensor, keys: Tensor, mask) -> Tensor:
+        """Additive attention of rows h [B, H] over memory [B, S, ctx_dim],
+        with an additive padding mask [B, S] or None."""
+        batch, width, _ = keys.shape
+        q = reshape(affine(h, self.params["attn.query.w"]), (batch, 1, -1))
+        e = tanh(add(keys, q))
+        scores = reshape(matmul(e, reshape(self.params["attn.v"], (-1, 1))), (batch, width))
+        if mask is not None:
+            scores = add(scores, Tensor(mask))
+        weights = reshape(softmax(scores), (batch, 1, width))
+        return reshape(matmul(weights, memory), (batch, -1))
 
-    def _step(self, prev_id: int, h: Tensor, c: Tensor, ctx: Tensor,
-              memory: Tensor | None, keys: Tensor | None):
+    def _step(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
+              memory: Tensor | None, keys: Tensor | None, mask):
+        """Feed prev_ids [B] to every row; returns the rows' new (h, c, ctx)."""
         H = self.config.hidden_dim
-        x = concat([row(self.params["emb.tgt"], prev_id), ctx])
+        x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids), ctx], axis=1)
         hc = lstm_cell(x, h, c, self.params["dec.w"], self.params["dec.b"])
-        h = narrow(hc, 0, 0, H)
-        c = narrow(hc, 0, H, H)
+        h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
         if self.attention:
-            ctx = self._attend(h, memory, keys)
+            ctx = self._attend(h, memory, keys, mask)
         return h, c, ctx
 
-    def decode_step(self, state: LSTMState, prev_id: int):
-        h, c, ctx = self._step(prev_id, state.h, state.c, state.ctx,
-                               state.memory, state.keys)
-        logits = affine(concat([h, ctx]), self.params["out.w"], self.params["out.b"])
-        z = logits.data - logits.data.max()
-        e = np.exp(z)
-        probs = e / e.sum()
-        return probs, LSTMState(h, c, ctx, state.memory, state.keys)
+    def decode_step_batch(self, states, prev_ids):
+        """Advance k hypotheses of one source by one position each, as the
+        rows of one step; returns (probs [k, V], new states)."""
+        with no_grad():
+            h, c, ctx, memory, keys = (
+                None if getattr(states[0], f) is None
+                else Tensor(np.stack([getattr(s, f) for s in states]))
+                for f in ("h", "c", "ctx", "memory", "keys"))
+            h, c, ctx = self._step(np.asarray(prev_ids, dtype=np.intp), h, c, ctx,
+                                   memory, keys, None)
+            logits = affine(concat([h, ctx], axis=1), self.params["out.w"], self.params["out.b"])
+            probs = softmax(logits).data
+        return probs, [LSTMState(h.data[i], c.data[i], ctx.data[i], s.memory, s.keys)
+                       for i, s in enumerate(states)]
 
     # -- teacher forcing ---------------------------------------------------
 
-    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train: bool = False) -> Tensor:
-        """log P(tgt_t | tgt_<t, src) for every position of tgt_ids, which
-        must end in the end id."""
-        cfg = self.config
-        memory, h, c, enc_final = self._encode(src_ids, train, rng)
-        if self.attention:
-            keys = affine(memory, self.params["attn.key.w"])
-            ctx = Tensor(np.zeros(self.ctx_dim))
-        else:
-            memory = keys = None
-            ctx = enc_final
+    def _teacher_forced(self, pairs, train: bool, rng):
+        """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
+        pairs, with 0/1 weights [B*T] marking real positions."""
+        src, src_len = _padded([s for s, _ in pairs])
+        tgt, tgt_len = _padded([t for _, t in pairs])
+        batch, width = tgt.shape
+        h, c, ctx, memory, keys = self._encode(src, src_len, train, rng)
+        mask = _key_mask(src_len, src.shape[1])
+        tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
         feats = []
-        prev = BOS
-        for tgt in tgt_ids:
-            h, c, ctx = self._step(prev, h, c, ctx, memory, keys)
-            feats.append(concat([h, ctx]))
-            prev = tgt
-        f = stack_rows(feats)
-        f = dropout(f, cfg.dropout, train, rng)
+        for prev in tgt_in.T:
+            h, c, ctx = self._step(prev, h, c, ctx, memory, keys, mask)
+            feats.append(concat([h, ctx], axis=1))
+        f = reshape(concat(feats, axis=1), (batch * width, -1))
+        f = dropout(f, self.config.dropout, train, rng)
         logits = affine(f, self.params["out.w"], self.params["out.b"])
-        return target_logprobs(logits, tgt_ids)
-
-    def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
-        """Negative log-likelihood of tgt_ids, summed over timesteps."""
-        return nll(self.teacher_forced_logprobs(src_ids, tgt_ids, rng, train))
+        weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
+        return target_logprobs(logits, tgt.reshape(-1)), weights.reshape(-1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import BOS, PAD
+from ..corpus import BOS
 from ..ndiff import (
     Tensor,
     affine,
@@ -40,13 +40,12 @@ from ..ndiff import (
     relu,
     reshape,
     scaled_dot_product,
+    softmax,
     transpose,
 )
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import nll, target_logprobs
-
-NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
+from .model import NEG_INF, Seq2Seq, _key_mask, _padded, target_logprobs
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -65,23 +64,6 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.full((length, length), NEG_INF), k=1)
 
 
-def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id sequences with the pad id: (ids [B, T], lengths [B])."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    ids = np.full((len(seqs), int(lengths.max())), PAD, dtype=np.intp)
-    for i, s in enumerate(seqs):
-        ids[i, :len(s)] = s
-    return ids, lengths
-
-
-def _key_mask(lengths: np.ndarray, width: int) -> np.ndarray | None:
-    """Additive [B, 1, 1, width] mask hiding padded keys (None if no padding)."""
-    if np.all(lengths == width):
-        return None
-    valid = np.arange(width)[None, :] < lengths[:, None]
-    return np.where(valid, 0.0, NEG_INF)[:, None, None, :]
-
-
 @dataclass(frozen=True)
 class TransformerState:
     """Decoder state of one hypothesis.
@@ -98,7 +80,7 @@ class TransformerState:
     steps: int
 
 
-class TransformerSeq2Seq:
+class TransformerSeq2Seq(Seq2Seq):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         if config.arch != "transformer":
             raise ValueError(f"config.arch is {config.arch!r}, not 'transformer'")
@@ -236,6 +218,8 @@ class TransformerSeq2Seq:
         batch, width = tgt.shape
         tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
         mask = _key_mask(src_len, src.shape[1])
+        if mask is not None:
+            mask = mask[:, None, None, :]  # broadcast over heads and queries
         memory = self._encode(src, mask, train, rng)
         x = self._embed("emb.tgt", tgt_in, train, rng)
         causal = causal_mask(width)
@@ -272,31 +256,9 @@ class TransformerSeq2Seq:
                 past = tuple(np.stack([s.cache[l][i] for s in states]) for i in (0, 1))
                 x, (k, v) = self._dec_block(l, x, batch, cross, None, None, past, False, None)
                 cache.append((k.data, v.data))
-            z = self._logits(x).data
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=-1, keepdims=True)
+            probs = softmax(self._logits(x)).data
         new_states = [
             TransformerState(s.cross, tuple((k[i], v[i]) for k, v in cache), steps + 1)
             for i, s in enumerate(states)
         ]
         return probs, new_states
-
-    def decode_step(self, state: TransformerState, prev_id: int):
-        probs, states = self.decode_step_batch([state], [prev_id])
-        return probs[0], states[0]
-
-    # -- teacher forcing -----------------------------------------------------
-
-    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train: bool = False) -> Tensor:
-        """log P(tgt_t | tgt_<t, src) for every position, via one causal pass."""
-        logprobs, _ = self._teacher_forced([(src_ids, tgt_ids)], train, rng)
-        return logprobs
-
-    def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
-        """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every
-        target ending in the end id, as one padded graph."""
-        return nll(*self._teacher_forced(pairs, train, rng))
-
-    def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
-        return nll(self.teacher_forced_logprobs(src_ids, tgt_ids, rng, train))

@@ -8,12 +8,13 @@ code with the package internals it checks.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.special import stdtr
 
 from wugbench.corpus import BOS, EOS
-from wugbench.ndiff import Tensor, backward, no_grad
+from wugbench.ndiff import ContractError, Tensor, backward, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +27,7 @@ class TableModel:
     ``table`` maps the tuple of symbols generated so far to a probability
     vector over the vocabulary; missing prefixes fall back to uniform.
     State is just the tuple of ids fed to the decoder.  Its teacher-forced
-    pass chains its own ``decode_step``.
+    pass chains its own ``decode_step``, and ``decode_step_batch`` loops it.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray], vocab_size: int):
@@ -43,6 +44,10 @@ class TableModel:
         if probs is None:
             probs = np.full(self.vocab_size, 1.0 / self.vocab_size)
         return probs.copy(), fed
+
+    def decode_step_batch(self, states, prev_ids):
+        rows = [self.decode_step(s, p) for s, p in zip(states, prev_ids)]
+        return np.stack([p for p, _ in rows]), [s for _, s in rows]
 
     def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train=False):
         return Tensor(chained_logprobs(self, src_ids, tgt_ids))
@@ -201,7 +206,37 @@ def t_pvalue_oracle(stat: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# whole-model gradient check
+# gradient checks
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:
+    """Max elementwise relative error between analytic and central-difference
+    gradients of the scalar function ``f`` at ``x``.
+
+    Error per element is |a - n| / max(|a|, |n|, 1e-8), which stays finite
+    when both gradients vanish.
+    """
+    x0 = np.array(x, dtype=np.float64)
+    leaf = Tensor(x0.copy(), requires_grad=True)
+    out = f(leaf)
+    if out.shape != ():
+        raise ContractError(f"grad_check: f must return a scalar, got shape {out.shape}")
+    backward(out)
+    analytic = np.zeros_like(x0) if leaf.grad is None else leaf.grad
+
+    numeric = np.zeros_like(x0)
+    flat = numeric.reshape(-1)
+    with no_grad():
+        for i in range(x0.size):
+            xp = x0.copy()
+            xp.flat[i] += h
+            xm = x0.copy()
+            xm.flat[i] -= h
+            flat[i] = (f(Tensor(xp)).item() - f(Tensor(xm)).item()) / (2.0 * h)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
 
 
 def directional_grad_error(model, src_ids, tgt_ids, rng: np.random.Generator,

@@ -26,6 +26,7 @@ from oracles import (
     chained_logprobs,
     directional_grad_error,
     enumeration_beam,
+    grad_check,
     pearson_oracle,
     random_table_model,
     spearman_oracle,
@@ -85,7 +86,7 @@ def _op_suite(rng):
     nokink = np.where(np.abs(m34) < 0.1, m34 + 0.3, m34)
 
     T = nd.Tensor
-    return [
+    ops = [
         ("add", lambda t: nd.sum_(nd.add(t, T(v4))), m34),
         ("sub", lambda t: nd.sum_(nd.sub(T(m34b), t)), m34),
         ("mul", lambda t: nd.sum_(nd.mul(t, T(m34b))), m34),
@@ -103,11 +104,8 @@ def _op_suite(rng):
         ("concat", lambda t: nd.sum_(nd.mul(nd.concat([t, T(m34)], axis=0),
                                             T(np.concatenate([sel34, sel34])))), m34),
         ("narrow", lambda t: nd.sum_(nd.mul(nd.narrow(t, 1, 1, 2), T(sel34[:, 1:3]))), m34),
-        ("row", lambda t: nd.sum_(nd.mul(nd.row(t, 1), T(v4))), m34),
         ("reshape", lambda t: nd.sum_(nd.mul(nd.reshape(t, (12,)), T(sel12))), m34),
         ("transpose", lambda t: nd.sum_(nd.mul(nd.transpose(t, (1, 0)), T(m43))), m34),
-        ("stack_rows", lambda t: nd.sum_(nd.mul(nd.stack_rows([nd.row(t, 0), nd.row(t, 2)]),
-                                                T(m24))), m34),
         ("embedding_lookup", lambda t: nd.sum_(nd.mul(nd.embedding_lookup(t, [1, 0, 1]),
                                                       T(table_sel[:, :4]))),
          rng.normal(size=(3, 4))),
@@ -120,8 +118,26 @@ def _op_suite(rng):
             nd.scaled_dot_product(t, T(b234), T(b234), T(mask)), T(selB))), b234),
         ("dropout", lambda t: nd.sum_(nd.dropout(t, 0.4, train=True,
                                                  rng=nd.seeded_rng(13))), m34b),
-        ("lstm_cell", lambda t: nd.sum_(nd.mul(nd.lstm_cell(
-            T(lx), T(lh), T(lc), t, T(lb)), T(lsel))), lw),
+    ]
+
+    # rows 1-2 of the lstm_cell batch, row 2 dead; drawn last so every other
+    # op keeps its inputs
+    lh = np.vstack([lh, rng.normal(size=(2, 2))])
+    lc = np.vstack([lc, rng.normal(size=(2, 2))])
+    lx = np.vstack([lx, rng.normal(size=(2, 4))])
+    lsel = np.vstack([lsel, rng.normal(size=(2, 4))])
+    live = np.array([1, 1, 0])
+
+    def cell(**leaf):
+        a = {"x": T(lx), "h": T(lh), "c": T(lc), "w": T(lw), **leaf}
+        return nd.sum_(nd.mul(nd.lstm_cell(a["x"], a["h"], a["c"], a["w"], T(lb), live),
+                              T(lsel)))
+
+    return ops + [
+        ("lstm_cell", lambda t: cell(w=t), lw),
+        ("lstm_cell-x", lambda t: cell(x=t), lx),
+        ("lstm_cell-h", lambda t: cell(h=t), lh),
+        ("lstm_cell-c", lambda t: cell(c=t), lc),
     ]
 
 
@@ -132,7 +148,7 @@ def test_criterion1_every_op_matches_finite_differences():
     for trial in range(TRIALS):
         rng = np.random.default_rng(1000 + trial)
         for name, f, x in _op_suite(rng):
-            err = nd.grad_check(f, x)
+            err = grad_check(f, x)
             if err >= 1e-4:
                 failures.append(f"{name} trial {trial}: {err:.3e}")
     _timings["criterion1_ops"] = time.perf_counter() - start

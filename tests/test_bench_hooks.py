@@ -116,3 +116,8 @@ def test_full_trace_records_loss_and_force_spans(tracer, tmp_path, monkeypatch):
     for arch in architectures:
         assert ("seq2seq.loss", arch) in recorded, arch
         assert ("decode.force", arch) in recorded, arch
+    # width-2 beams step both hypotheses of an LSTM in one call
+    counts = [s["steps"]["unilstm_attn"] for s in spans
+              if "unilstm_attn" in s.get("steps", {})]
+    calls, rows = (sum(column) for column in zip(*counts))
+    assert rows > calls, (calls, rows)

@@ -83,6 +83,18 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(missing_data)]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # a misspelled model field is refused at load, before any unit starts
+    cp.write_dataset(tmp_path / "en.tsv", "en",
+                     datagen.make_english(20, np.random.default_rng(4)))
+    misspelled = tmp_path / "misspelled.json"
+    misspelled.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"), "dataset": str(tmp_path / "en.tsv"),
+        "architectures": ["unilstm_noattn"], "seeds": [1], "epochs": 1,
+        "model_overrides": {"default": {"hidden_dims": 8}},
+    }), encoding="utf-8")
+    assert main(["train", "--config", str(misspelled)]) == 1
+    assert "error:" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # pipeline through the console entry point

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import grad_check
 from wugbench import ndiff as nd
 
 TRIALS = 10
@@ -20,7 +21,7 @@ def _rng(trial: int) -> np.random.Generator:
 
 def _check(f, x, tol=TOL):
     data = x.data if isinstance(x, nd.Tensor) else x
-    err = nd.grad_check(f, data)
+    err = grad_check(f, data)
     assert err < tol, f"gradient error {err:.3e}"
 
 
@@ -115,7 +116,6 @@ def test_shaping_grads(trial):
                                     nd.Tensor(np.arange(36.0).reshape(6, 6)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.narrow(t, 1, 2, 3),
                                     nd.Tensor(np.arange(12.0).reshape(4, 3)))), x)
-    _check(lambda t: nd.sum_(nd.mul(nd.row(t, 2), nd.Tensor(np.arange(6.0)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.reshape(t, (2, 12)),
                                     nd.Tensor(np.arange(24.0).reshape(2, 12)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.transpose(t, (1, 0)), w)), x)
@@ -124,11 +124,6 @@ def test_shaping_grads(trial):
 @pytest.mark.parametrize("trial", range(TRIALS))
 def test_stack_and_lookup_grads(trial):
     rng = _rng(trial)
-    rows = [nd.Tensor(rng.normal(size=(5,)), requires_grad=True) for _ in range(3)]
-    weights = nd.Tensor(rng.normal(size=(3, 5)))
-    _check(lambda t: nd.sum_(nd.mul(nd.stack_rows([t, rows[1], rows[2]]), weights)),
-           rows[0])
-
     table = nd.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     ids = [2, 0, 2, 6]  # repeated id: grads must accumulate on that row
     sel = nd.Tensor(rng.normal(size=(4, 4)))
@@ -179,47 +174,63 @@ def test_attention_grads(trial):
     _check(lambda t: nd.sum_(nd.mul(nd.scaled_dot_product(q, k, t, mask), sel)), v)
 
 
+LIVE = np.array([1, 0, 1])  # the middle row is dead
+
+
 @pytest.mark.parametrize("trial", range(TRIALS))
 def test_lstm_cell_grads(trial):
     rng = _rng(trial)
-    dx, dh = 4, 3
-    x = nd.Tensor(rng.normal(size=(dx,)), requires_grad=True)
-    h = nd.Tensor(rng.normal(size=(dh,)), requires_grad=True)
-    c = nd.Tensor(rng.normal(size=(dh,)), requires_grad=True)
+    batch, dx, dh = len(LIVE), 4, 3
+    x = nd.Tensor(rng.normal(size=(batch, dx)), requires_grad=True)
+    h = nd.Tensor(rng.normal(size=(batch, dh)), requires_grad=True)
+    c = nd.Tensor(rng.normal(size=(batch, dh)), requires_grad=True)
     w = nd.Tensor(rng.normal(size=(4 * dh, dx + dh)) * 0.5, requires_grad=True)
     b = nd.Tensor(rng.normal(size=(4 * dh,)), requires_grad=True)
-    sel = nd.Tensor(rng.normal(size=(2 * dh,)))
+    sel = nd.Tensor(rng.normal(size=(batch, 2 * dh)))
 
     def loss_wrt(which):
         def f(t):
             args = {"x": x, "h": h, "c": c, "w": w, "b": b}
             args[which] = t
             return nd.sum_(nd.mul(nd.lstm_cell(args["x"], args["h"], args["c"],
-                                               args["w"], args["b"]), sel))
+                                               args["w"], args["b"], LIVE), sel))
         return f
 
     for name, var in [("x", x), ("h", h), ("c", c), ("w", w), ("b", b)]:
         _check(loss_wrt(name), var)
 
+    # the dead row's gradient passes straight through to its state
+    for var in (x, h, c):
+        var.grad = None
+    nd.backward(loss_wrt("x")(x))
+    np.testing.assert_array_equal(h.grad[1], sel.data[1, :dh])
+    np.testing.assert_array_equal(c.grad[1], sel.data[1, dh:])
+    np.testing.assert_array_equal(x.grad[1], 0.0)
+
 
 def test_lstm_cell_forward_matches_textbook():
     rng = _rng(0)
-    dx, dh = 3, 2
-    x = nd.Tensor(rng.normal(size=(dx,)))
-    h = nd.Tensor(rng.normal(size=(dh,)))
-    c = nd.Tensor(rng.normal(size=(dh,)))
+    batch, dx, dh = len(LIVE), 3, 2
+    x = nd.Tensor(rng.normal(size=(batch, dx)))
+    h = nd.Tensor(rng.normal(size=(batch, dh)))
+    c = nd.Tensor(rng.normal(size=(batch, dh)))
     w = nd.Tensor(rng.normal(size=(4 * dh, dx + dh)))
     b = nd.Tensor(rng.normal(size=(4 * dh,)))
-    out = nd.lstm_cell(x, h, c, w, b).data
+    out = nd.lstm_cell(x, h, c, w, b, LIVE).data
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    z = w.data @ np.concatenate([x.data, h.data]) + b.data
-    i, f, g, o = z[:dh], z[dh:2 * dh], z[2 * dh:3 * dh], z[3 * dh:]
-    c2 = sig(f) * c.data + sig(i) * np.tanh(g)
-    h2 = sig(o) * np.tanh(c2)
-    np.testing.assert_allclose(out, np.concatenate([h2, c2]), atol=1e-12)
+    for r in (0, 2):
+        z = w.data @ np.concatenate([x.data[r], h.data[r]]) + b.data
+        i, f, g, o = z[:dh], z[dh:2 * dh], z[2 * dh:3 * dh], z[3 * dh:]
+        c2 = sig(f) * c.data[r] + sig(i) * np.tanh(g)
+        h2 = sig(o) * np.tanh(c2)
+        np.testing.assert_allclose(out[r], np.concatenate([h2, c2]), atol=1e-12)
+    # a dead row's output is its input state, bit for bit
+    np.testing.assert_array_equal(out[1], np.concatenate([h.data[1], c.data[1]]))
+    # without a mask every row is live
+    np.testing.assert_array_equal(nd.lstm_cell(x, h, c, w, b).data[[0, 2]], out[[0, 2]])
 
 
 def test_dropout_grads_and_scaling():
@@ -309,7 +320,7 @@ def test_shape_errors_name_the_op():
 
 def test_grad_check_rejects_nonscalar():
     with pytest.raises(nd.ContractError):
-        nd.grad_check(lambda t: nd.mul(t, t), np.ones(3))
+        grad_check(lambda t: nd.mul(t, t), np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,16 @@ def test_config_from_dict_rejects_bad_training_values(key, value):
         ExperimentConfig.from_dict({"out_dir": "x", "dataset": "d", key: value})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"default": {"hidden_dims": 8}}, {"default": {"arch": "transformer"}},
+    {"bilstm_attn": {"vocab_size": 10}}, {"default": 8}, [],
+])
+def test_config_from_dict_rejects_bad_model_overrides(overrides):
+    with pytest.raises(RunnerError, match="model_overrides"):
+        ExperimentConfig.from_dict({"out_dir": "x", "dataset": "d",
+                                    "model_overrides": overrides})
+
+
 def test_config_file_roundtrip(tmp_path):
     config = ExperimentConfig(out_dir="out", dataset="d.tsv", seeds=(1, 2),
                               model_overrides={"default": {"emb_dim": 16}})

@@ -167,11 +167,13 @@ def test_transformer_forced_logprobs_match_steps():
         prev = sym
 
 
-def test_transformer_batch_loss_matches_per_example_sum():
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batch_loss_matches_per_example_sum(arch):
     # sources and targets of unequal lengths, so both sides of the batch are
-    # padded; with dropout off the padded graph must add nothing
+    # padded and a bidirectional encoder meets padding in both directions;
+    # with dropout off the padded graph must add nothing
     pairs = [([3, 4, 5, 6, 7], [4, 2]), ([5], [6, 7, 3, 4, 2]), ([4, 6, 3], [5, 6, 7, 2])]
-    model = tiny_model("transformer", seed=13, dropout=0.0)
+    model = tiny_model(arch, seed=13, dropout=0.0)
     batch = model.batch_loss(pairs, train=True)
     backward(batch)
     batch_grads = {n: p.grad for n, p in model.params.items()}
@@ -188,10 +190,11 @@ def test_transformer_batch_loss_matches_per_example_sum():
         np.testing.assert_allclose(batch_grads[name], p.grad, rtol=0, atol=1e-9, err_msg=name)
 
 
-def test_transformer_batched_step_matches_single_steps():
-    model = tiny_model("transformer", seed=8)
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batched_step_matches_single_steps(arch):
+    model = tiny_model(arch, seed=8)
     _, after_start = model.decode_step(model.encode([3, 4, 5]), 1)
-    # three hypotheses with different cached prefixes
+    # three hypotheses with different prefixes
     states = [model.decode_step(after_start, sym)[1] for sym in (3, 4, 5)]
     prevs = [6, 3, 7]
     probs, stepped = model.decode_step_batch(states, prevs)
