@@ -2,8 +2,10 @@
 
 Every op records its inputs and a vector-Jacobian closure on the output
 node; ``backward`` walks the graph in reverse topological order and
-accumulates gradients into the ``grad`` field of every node it reaches.
-Inference code should wrap calls in ``no_grad()`` to skip recording.
+accumulates gradients into the ``grad`` field of every leaf it reaches
+(a node without a VJP, such as a parameter); interior nodes keep
+``grad`` at ``None``.  Inference code should wrap calls in ``no_grad()``
+to skip recording.
 
 Arrays are always C-contiguous float64.  There is no GPU path and no
 higher-order differentiation.
@@ -25,6 +27,8 @@ class ShapeError(ValueError):
 class ContractError(ValueError):
     """An op was called outside its documented contract."""
 
+
+LAYER_NORM_EPS = 1e-5
 
 _grad_enabled = True
 
@@ -48,8 +52,8 @@ def grad_enabled() -> bool:
 class Tensor:
     """One node of the computation graph.
 
-    ``data`` holds the value, ``grad`` accumulates d(root)/d(self) across
-    ``backward`` calls until reset to ``None``.  Leaf tensors created with
+    ``data`` holds the value; a leaf's ``grad`` accumulates d(root)/d(self)
+    across ``backward`` calls until reset to ``None``.  Leaf tensors created with
     ``requires_grad=True`` are trainable parameters; everything reachable
     from one inherits ``requires_grad`` so backward can prune dead branches.
     """
@@ -78,57 +82,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # arithmetic sugar; scalars are wrapped as constants
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def parameter(data) -> Tensor:
     """A trainable leaf tensor (copies its input)."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -236,29 +196,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        "sub", a, b, np.subtract,
-        lambda a, b: lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(
         "multiply", a, b, np.multiply,
         lambda a, b: lambda g: (
             _unbroadcast(g * b.data, a.shape),
             _unbroadcast(g * a.data, b.shape),
-        ),
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        "divide", a, b, np.divide,
-        lambda a, b: lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         ),
     )
 
@@ -274,11 +217,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(y, (x,), lambda g, mask=mask: (g * mask,))
 
 
-def sqrt(x: Tensor) -> Tensor:
-    y = np.sqrt(x.data)
-    return _node(y, (x,), lambda g, y=y: (g / (2.0 * y),))
-
-
 def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
@@ -286,18 +224,6 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape),)
-
-    return _node(data, (x,), vjp)
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def vjp(g, shape=x.shape, axis=axis, keepdims=keepdims, n=n):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / n,)
 
     return _node(data, (x,), vjp)
 
@@ -474,27 +400,58 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then
+    scale-shift: ``x̂ * gain + bias`` with ``x̂ = (x - mean) / sqrt(var + eps)``.
 
-    A constant input row yields exactly zero before gain/bias (eps guards the
-    zero-variance case).
+    One node with the closed-form backward of Ba et al. (2016).  ``eps``
+    keeps a zero-variance row finite: its ``x̂`` is the rounding error of
+    its mean over ``sqrt(eps)``, about 1e-13 times the row's magnitude, so
+    its output lies near ``bias`` but not exactly on it, and every
+    gradient stays finite.
     """
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, _as_tensor(eps))))
-    return add(mul(normed, gain), bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat = centered / std
+    data = xhat * gain.data + bias.data
+
+    def vjp(g, xhat=xhat, std=std, gain=gain, bias=bias):
+        gh = g * gain.data
+        gx = (gh - gh.mean(axis=-1, keepdims=True)
+              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return (gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
+
+    return _node(data, (x, gain, bias), vjp)
 
 
-def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v over the last two axes."""
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-                 _as_tensor(1.0 / math.sqrt(d)))
-    if mask is not None:
-        scores = add(scores, mask)
-    return matmul(softmax(scores, axis=-1), v)
+def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v over the last two axes.
+
+    One node; the backward is that of Dao et al. (2022) without the tiling.
+    ``mask`` is an additive array that broadcasts against the scores
+    [..., Tq, Tk] and is not differentiated.
+    """
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    try:
+        scores = np.matmul(q.data, k.data.swapaxes(-1, -2)) * scale
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        data = np.matmul(probs, v.data)
+    except ValueError as exc:
+        raise ShapeError(f"scaled_dot_product: incompatible shapes {q.shape}, {k.shape} "
+                         f"and {v.shape}") from exc
+
+    def vjp(g, q=q, k=k, v=v, probs=probs, scale=scale):
+        gp = np.matmul(g, v.data.swapaxes(-1, -2))
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        return (_unbroadcast(np.matmul(gs, k.data), q.shape),
+                _unbroadcast(np.matmul(gs.swapaxes(-1, -2), q.data), k.shape),
+                _unbroadcast(np.matmul(probs.swapaxes(-1, -2), g), v.shape))
+
+    return _node(data, (q, k, v), vjp)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:

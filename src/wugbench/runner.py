@@ -142,6 +142,11 @@ class ExperimentConfig:
             if not isinstance(overrides, dict) or not set(overrides) <= tunable:
                 raise RunnerError(f"model_overrides[{key!r}] must map ModelConfig fields other "
                                   f"than arch and vocab_size to values, got {overrides!r}")
+        for arch in self.architectures:
+            try:
+                self.model_config(arch, 4)
+            except (TypeError, ValueError) as exc:
+                raise RunnerError(f"model_overrides for {arch}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -42,6 +42,11 @@ class ModelConfig:
             raise ValueError(f"unknown architecture {self.arch!r}, expected one of {ARCHITECTURES}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover pad/start/end plus at least one symbol")
+        sizes = ("emb_dim", "hidden_dim", "attn_dim", "enc_layers", "d_model", "ffn_dim",
+                 "heads", "enc_blocks", "dec_blocks")
+        bad = [n for n in sizes if not (isinstance(getattr(self, n), int) and getattr(self, n) >= 1)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be integers >= 1")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if not 0.0 <= self.dropout < 1.0:

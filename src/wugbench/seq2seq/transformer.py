@@ -142,7 +142,7 @@ class TransformerSeq2Seq(Seq2Seq):
     def _attend(self, name: str, q: Tensor, k: Tensor, v: Tensor,
                 mask: np.ndarray | None) -> Tensor:
         """Attention of q over (k, v); heads merged and projected to rows [B*Tq, D]."""
-        o = scaled_dot_product(q, k, v, None if mask is None else Tensor(mask))
+        o = scaled_dot_product(q, k, v, mask)
         batch, _, tq, _ = o.shape
         o = reshape(transpose(o, (0, 2, 1, 3)), (batch * tq, self.config.d_model))
         return affine(o, self.params[f"{name}.o.w"], self.params[f"{name}.o.b"])

@@ -238,6 +238,19 @@ def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def interior_nodes(root: Tensor) -> int:
+    """Number of recorded op nodes (nodes with a VJP) reachable from root
+    through parents that require grad; leaves are not counted."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad or node._vjp is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
 
 def directional_grad_error(model, src_ids, tgt_ids, rng: np.random.Generator,
                            h: float = 1e-6) -> float:

@@ -95,6 +95,18 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(misspelled)]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # so is a value the model refuses, even for an architecture that would
+    # train after another unit
+    bad_heads = tmp_path / "bad_heads.json"
+    bad_heads.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"), "dataset": str(tmp_path / "en.tsv"),
+        "architectures": ["unilstm_noattn", "transformer"], "seeds": [1], "epochs": 1,
+        "model_overrides": {"transformer": {"heads": 3, "d_model": 8}},
+    }), encoding="utf-8")
+    assert main(["train", "--config", str(bad_heads)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
 
 # ---------------------------------------------------------------------------
 # pipeline through the console entry point

@@ -152,6 +152,8 @@ def test_config_from_dict_rejects_bad_training_values(key, value):
 @pytest.mark.parametrize("overrides", [
     {"default": {"hidden_dims": 8}}, {"default": {"arch": "transformer"}},
     {"bilstm_attn": {"vocab_size": 10}}, {"default": 8}, [],
+    {"transformer": {"heads": 3, "d_model": 8}}, {"default": {"dropout": 1.5}},
+    {"transformer": {"heads": 0}}, {"default": {"hidden_dim": -1}}, {"default": {"emb_dim": 2.5}},
 ])
 def test_config_from_dict_rejects_bad_model_overrides(overrides):
     with pytest.raises(RunnerError, match="model_overrides"):

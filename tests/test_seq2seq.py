@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import directional_grad_error
+from oracles import directional_grad_error, interior_nodes
 from wugbench.ndiff import INIT_STREAM, backward, seeded_rng
 from wugbench.seq2seq import (
     ARCHITECTURES,
@@ -188,6 +188,16 @@ def test_batch_loss_matches_per_example_sum(arch):
     for name, p in model.params.items():
         assert batch_grads[name] is not None and p.grad is not None, name
         np.testing.assert_allclose(batch_grads[name], p.grad, rtol=0, atol=1e-9, err_msg=name)
+
+
+def test_transformer_training_graph_size():
+    # at the default dimensions: each layer norm and each attention is one
+    # node, so this padded training batch builds 256 op nodes (the composed
+    # ops built 492)
+    model = build_model(ModelConfig("transformer", 12), seeded_rng(0, INIT_STREAM))
+    pairs = [([3, 4, 5, 6], [7, 8, 2]), ([5, 9], [6, 10, 11, 3, 2])]
+    loss = model.batch_loss(pairs, rng=np.random.default_rng(0), train=True)
+    assert interior_nodes(loss) <= 260
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
