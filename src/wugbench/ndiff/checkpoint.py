@@ -1,12 +1,15 @@
-"""Model checkpoints as JSON: portable, diffable, bit-exact for float64.
+"""Model checkpoints as ``.npz`` archives: bit-exact, byte-deterministic, atomic.
 
-Python's json writes floats with repr (shortest round-trip form), so a
-save/load cycle reproduces every parameter bit for bit.
+An uncompressed zip of one ``<name>.npy`` member (NEP 1) per parameter, sorted,
+then ``meta.json``, every member stamped 1980-01-01.  A save writes a hidden temp
+file and ``os.replace``s it: a failed save leaves the old checkpoint whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from pathlib import Path
 from typing import Mapping
 
@@ -14,40 +17,48 @@ import numpy as np
 
 from .tensor import Tensor
 
+_META = "meta.json"
+_EPOCH = (1980, 1, 1, 0, 0, 0)
+
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match expectations."""
 
 
 def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None) -> None:
-    blob = {
-        "meta": dict(meta or {}),
-        "parameters": {
-            name: {
-                "shape": list(p.data.shape),
-                "data": [float(v) for v in p.data.reshape(-1)],
-            }
-            for name, p in sorted(params.items())
-        },
-    }
-    Path(path).write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
+            for name, p in sorted(params.items()):
+                with zf.open(zipfile.ZipInfo(f"{name}.npy", _EPOCH), "w") as fh:
+                    np.lib.format.write_array(fh, p.data, allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(_META, _EPOCH),
+                        json.dumps(dict(meta or {}), sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (name -> array, meta)."""
+    """Returns (name -> float64 array, meta)."""
     try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(blob, dict) or "parameters" not in blob:
-        raise CheckpointError(f"{path}: missing 'parameters' section")
-    arrays: dict[str, np.ndarray] = {}
-    for name, entry in blob["parameters"].items():
-        try:
-            arrays[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad entry for parameter '{name}'") from exc
-    return arrays, blob.get("meta", {})
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(zf.read(_META))  # a KeyError names the missing meta.json
+            arrays = {}
+            for member in zf.namelist():
+                if member != _META:
+                    with zf.open(member) as fh:
+                        arrays[member] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (zipfile.BadZipFile, KeyError, EOFError, ValueError, OSError, RuntimeError) as exc:
+        raise CheckpointError(f"{path}: not a readable checkpoint ({exc})") from exc
+    wrong = sorted(m for m, arr in arrays.items() if not m.endswith(".npy") or arr.dtype != "<f8")
+    if wrong:
+        raise CheckpointError(f"{path}: members {wrong} are not float64 (<f8) .npy arrays")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: {_META} does not hold an object")
+    return {m.removesuffix(".npy"): arr for m, arr in arrays.items()}, meta
 
 
 def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
@@ -66,4 +77,4 @@ def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray])
             raise CheckpointError(
                 f"parameter '{name}': checkpoint shape {arr.shape} != model shape {p.data.shape}"
             )
-        p.data = arr.astype(np.float64).copy()
+        p.data = np.array(arr, dtype=np.float64)

@@ -419,6 +419,10 @@ class UnitResult:
     outcomes: dict[str, list[str]]
 
 
+def checkpoint_path(out_dir, arch: str, seed: int) -> Path:
+    return Path(out_dir) / "checkpoints" / f"{arch}-seed{seed}.npz"
+
+
 def _run_unit(payload: tuple[dict, str, int, bool]) -> UnitResult:
     """Train one unit and checkpoint it; with ``evaluate`` also decode the
     test set and score the wugs with the model still in memory."""
@@ -429,10 +433,10 @@ def _run_unit(payload: tuple[dict, str, int, bool]) -> UnitResult:
     if model is None:
         return UnitResult(outcome, [], [], [], {})
     if config.save_checkpoints:
-        ckpt_dir = Path(config.out_dir) / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        path = checkpoint_path(config.out_dir, arch, seed)
+        path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(
-            ckpt_dir / f"{arch}-seed{seed}.json", model.params,
+            path, model.params,
             meta={
                 "arch": arch, "seed": seed, "language": bundle.lang,
                 "best_epoch": outcome.best_epoch,
@@ -774,7 +778,7 @@ def _load_trained(config: ExperimentConfig, bundle: DataBundle):
         raise RunnerError(f"no checkpoints directory under {config.out_dir}")
     for arch in config.architectures:
         for seed in config.seeds:
-            path = ckpt_dir / f"{arch}-seed{seed}.json"
+            path = checkpoint_path(config.out_dir, arch, seed)
             if not path.exists():
                 continue
             arrays, meta = load_checkpoint(path)

@@ -123,7 +123,7 @@ def test_staged_pipeline(workspace, capsys):
     assert (root / "splits" / "test.tsv").exists()
 
     assert main(["train", "--config", str(config_path)]) == 0
-    assert (run_dir / "checkpoints" / "unilstm_attn-seed1.json").exists()
+    assert (run_dir / "checkpoints" / "unilstm_attn-seed1.npz").exists()
     assert (run_dir / "training_curves.csv").exists()
 
     assert main(["eval", "--config", str(config_path)]) == 0
@@ -169,6 +169,22 @@ def test_eval_refuses_checkpoint_of_other_model_config(workspace, tmp_path, caps
     capsys.readouterr()
     assert main(["eval", "--config", str(other)]) == 1
     assert "model_config.hidden_dim" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
+def test_eval_refuses_truncated_checkpoint(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir=str(tmp_path / "run"), epochs=1)
+    trained = tmp_path / "config.json"
+    trained.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(trained)]) == 0
+    ckpt = tmp_path / "run" / "checkpoints" / "unilstm_attn-seed1.npz"
+    ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(trained)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and "Traceback" not in err
     assert not (tmp_path / "run" / "accuracy.csv").exists()
 
 

@@ -1,7 +1,10 @@
 """Gradient, optimizer, rng, and checkpoint behavior of the autodiff core."""
 
+import io
 import json
 import math
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -464,10 +467,149 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_text("not json at all {")
     with pytest.raises(nd.CheckpointError):
         nd.load_checkpoint(bad)
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"meta": {}}))
-    with pytest.raises(nd.CheckpointError, match="parameters"):
+    empty = tmp_path / "empty.npz"
+    _archive(empty, {"w.npy": _npy(np.ones(2))})
+    with pytest.raises(nd.CheckpointError, match="meta.json"):
         nd.load_checkpoint(empty)
+
+
+def _npy(arr: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _archive(path, members: dict) -> None:
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+def _saved_checkpoint(tmp_path):
+    rng = _rng(4)
+    params = {"a": nd.Tensor(rng.normal(size=(3, 4))), "b": nd.Tensor(rng.normal(size=(6,)))}
+    path = tmp_path / "unit-seed1.npz"
+    nd.save_checkpoint(path, params, meta={"arch": "test"})
+    return path, params
+
+
+def test_truncated_checkpoint_raises(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    for cut in (0, 10, len(raw) // 2, len(raw) - 30, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(nd.CheckpointError, match=re.escape(str(path))):
+            nd.load_checkpoint(path)
+
+
+def test_flipped_payload_byte_raises(tmp_path):
+    path, params = _saved_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    at = raw.find(params["b"].data.tobytes()) + 13
+    assert at > 13
+    raw[at] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(nd.CheckpointError, match="CRC"):
+        nd.load_checkpoint(path)
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    path, params = _saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def fail_on_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_second)
+    changed = {name: nd.Tensor(p.data + 1.0) for name, p in params.items()}
+    with pytest.raises(OSError, match="no space"):
+        nd.save_checkpoint(path, changed, meta={"arch": "test"})
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+_META_JSON = json.dumps({"arch": "test"})
+STRICT_CASES = {
+    "float32": {"w.npy": _npy(np.ones(3, dtype=np.float32)), "meta.json": _META_JSON},
+    "big-endian": {"w.npy": _npy(np.ones(3, dtype=">f8")), "meta.json": _META_JSON},
+    "object": {"w.npy": _npy(np.array([1.0, None], dtype=object), allow_pickle=True),
+               "meta.json": _META_JSON},
+    "stray member": {"w.npy": _npy(np.ones(3)), "notes.txt": _npy(np.ones(3)),
+                     "meta.json": _META_JSON},
+    "bad npy header": {"w.npy": b"\x93NUMPY\x01\x00garbage", "meta.json": _META_JSON},
+    "meta not an object": {"w.npy": _npy(np.ones(3)), "meta.json": "[1, 2]"},
+    "meta not JSON": {"w.npy": _npy(np.ones(3)), "meta.json": "{"},
+}
+
+
+def test_checkpoint_loader_reads_a_plain_archive(tmp_path):
+    # the control for the strict cases: a hand-built archive of the same kind loads
+    path = tmp_path / "plain.npz"
+    _archive(path, {"w.npy": _npy(np.arange(3.0)), "meta.json": _META_JSON})
+    arrays, meta = nd.load_checkpoint(path)
+    assert meta == {"arch": "test"}
+    np.testing.assert_array_equal(arrays["w"], np.arange(3.0))
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_checkpoint_loader_is_strict(tmp_path, case):
+    path = tmp_path / "strict.npz"
+    _archive(path, STRICT_CASES[case])
+    with pytest.raises(nd.CheckpointError, match=re.escape(str(path))) as info:
+        nd.load_checkpoint(path)
+    if case == "stray member":
+        assert "notes.txt" in str(info.value)
+
+
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
+    0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+    0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,  # subnormals
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF80000DEADBEEF,  # quiet NaNs, distinct payloads
+    0x7FF0000000000001, 0x7FF4000000000000,  # signalling NaNs
+]
+
+
+@st.composite
+def parameter_sets(draw):
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_.]{0,8}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    params = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))  # () is 0-d
+        size = math.prod(shape)
+        bits = draw(st.lists(st.sampled_from(SPECIAL_BITS) | st.integers(0, 2 ** 64 - 1),
+                             min_size=size, max_size=size))
+        params[name] = np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+    return params
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameter_sets())
+def test_checkpoint_roundtrip_property(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.npz"
+    nd.save_checkpoint(path, {name: nd.Tensor(arr) for name, arr in data.items()},
+                       meta={"k": 1})
+    arrays, meta = nd.load_checkpoint(path)
+    assert meta == {"k": 1} and sorted(arrays) == sorted(data)
+    for name, arr in data.items():
+        assert arrays[name].shape == arr.shape
+        np.testing.assert_array_equal(arrays[name].view(np.uint64), arr.view(np.uint64))
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == [f"{n}.npy" for n in sorted(data)] + ["meta.json"]
+    assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in infos)
+    fresh = {name: nd.Tensor(np.zeros(arr.shape)) for name, arr in data.items()}
+    nd.restore_into(fresh, arrays)
+    for name, arr in data.items():
+        np.testing.assert_array_equal(fresh[name].data.view(np.uint64), arr.view(np.uint64))
+        assert not np.shares_memory(fresh[name].data, arrays[name])
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_train_does_no_decoding(corpora, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "score_wugs", refuse)
     config = _en_config(corpora, tmp_path, architectures=("unilstm_attn",), epochs=1)
     run_train(config)
-    assert (tmp_path / "checkpoints" / "unilstm_attn-seed1.json").exists()
+    assert (tmp_path / "checkpoints" / "unilstm_attn-seed1.npz").exists()
     (unit,) = read_csv_rows(tmp_path / "units.csv")
     assert unit["model"] == "unilstm_attn" and unit["best_epoch"] == "1"
 
@@ -429,7 +429,7 @@ def test_summary_json_is_nan_free(de_run):
 def test_checkpoints_written_with_meta(en_run):
     config, out, _ = en_run
     from wugbench.ndiff import load_checkpoint
-    path = out / "checkpoints" / "bilstm_attn-seed1.json"
+    path = out / "checkpoints" / "bilstm_attn-seed1.npz"
     assert path.exists()
     arrays, meta = load_checkpoint(path)
     assert meta["arch"] == "bilstm_attn"
@@ -485,7 +485,7 @@ def test_staged_pipeline_matches_run(corpora, tmp_path):
                         seeds=(1, 2), epochs=2)
 
     run_train(config)
-    assert (out / "checkpoints" / "bilstm_noattn-seed1.json").exists()
+    assert (out / "checkpoints" / "bilstm_noattn-seed1.npz").exists()
     run_eval(config)
     run_wug(config)
     report = run_report(config)
@@ -512,8 +512,8 @@ def test_eval_rejects_mismatched_data(corpora, tmp_path, de_run):
 def test_eval_rejects_checkpoint_of_another_unit(corpora, tmp_path, de_run):
     de_config, de_out, _ = de_run
     (tmp_path / "checkpoints").mkdir()
-    (tmp_path / "checkpoints" / "unilstm_noattn-seed3.json").write_bytes(
-        (de_out / "checkpoints" / "unilstm_noattn-seed1.json").read_bytes())
+    (tmp_path / "checkpoints" / "unilstm_noattn-seed3.npz").write_bytes(
+        (de_out / "checkpoints" / "unilstm_noattn-seed1.npz").read_bytes())
     config = ExperimentConfig.from_dict(
         {**de_config.to_dict(), "out_dir": str(tmp_path), "seeds": [3]})
     with pytest.raises(RunnerError, match=r"\['seed'\]"):

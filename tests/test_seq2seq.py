@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import directional_grad_error, interior_nodes
-from wugbench.ndiff import INIT_STREAM, backward, seeded_rng
+from wugbench.ndiff import INIT_STREAM, backward, save_checkpoint, seeded_rng
 from wugbench.seq2seq import (
     ARCHITECTURES,
     LSTM_ARCHITECTURES,
@@ -198,6 +198,15 @@ def test_transformer_training_graph_size():
     pairs = [([3, 4, 5, 6], [7, 8, 2]), ([5, 9], [6, 10, 11, 3, 2])]
     loss = model.batch_loss(pairs, rng=np.random.default_rng(0), train=True)
     assert interior_nodes(loss) <= 260
+
+
+def test_transformer_checkpoint_size(tmp_path):
+    # a binary checkpoint is its float64 payload plus zip and .npy headers;
+    # a text format would be about 2.7 times the payload
+    model = build_model(ModelConfig("transformer", 45), seeded_rng(0, INIT_STREAM))
+    path = tmp_path / "transformer-seed1.npz"
+    save_checkpoint(path, model.params, meta={"arch": "transformer"})
+    assert path.stat().st_size <= 8 * count_parameters(model) + 64 * 1024
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
