@@ -1,8 +1,8 @@
 """Model checkpoints as ``.npz`` archives: bit-exact, byte-deterministic, atomic.
 
 An uncompressed zip of one ``<name>.npy`` member (NEP 1) per parameter, sorted,
-then ``meta.json``, every member stamped 1980-01-01.  A save writes a hidden temp
-file and ``os.replace``s it: a failed save leaves the old checkpoint whole.
+then ``meta.json``, every member stamped 1980-01-01.  A save fsyncs a hidden temp file,
+``os.replace``s it and fsyncs the directory: a failed save leaves the old checkpoint whole.
 """
 
 from __future__ import annotations
@@ -29,13 +29,21 @@ def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
-            for name, p in sorted(params.items()):
-                with zf.open(zipfile.ZipInfo(f"{name}.npy", _EPOCH), "w") as fh:
-                    np.lib.format.write_array(fh, p.data, allow_pickle=False)
-            zf.writestr(zipfile.ZipInfo(_META, _EPOCH),
-                        json.dumps(dict(meta or {}), sort_keys=True))
+        with open(tmp, "wb") as out:
+            with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as zf:
+                for name, p in sorted(params.items()):
+                    with zf.open(zipfile.ZipInfo(f"{name}.npy", _EPOCH), "w") as fh:
+                        np.lib.format.write_array(fh, p.data, allow_pickle=False)
+                zf.writestr(zipfile.ZipInfo(_META, _EPOCH),
+                            json.dumps(dict(meta or {}), sort_keys=True))
+            out.flush()
+            os.fsync(out.fileno())
         os.replace(tmp, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)  # makes the rename itself durable
+        finally:
+            os.close(directory)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -1,4 +1,4 @@
-"""Experiment orchestration: train seeds, evaluate, emit reports.
+"""Experiment orchestration: train seeds, score them, emit reports.
 
 A run is described by an ``ExperimentConfig`` (usually a JSON file).  For
 every (architecture, seed) pair the runner trains a model with teacher
@@ -7,14 +7,15 @@ best greedy dev accuracy (ties go to the earlier epoch), then scores the
 test set with beam search and the wug items with forced scoring.
 
 The stages are ``run_train``, ``run_eval``, ``run_wug`` and ``run_report``;
-``run_experiment`` composes them in one process, evaluating each unit with
-its model still in memory.  Each stage's rows are sorted and written by one
-emitter, and ``run_report`` alone builds summary.json, from the CSVs.
+``run_experiment`` runs them in order.  A stage maps one per-unit function
+over the units and hands the results to its emitter, which sorts and writes
+its CSVs.  ``eval`` and ``wug`` rebuild every model from the checkpoint
+``train`` wrote.  ``run_report`` alone builds summary.json, from the CSVs.
 
 Everything emitted is byte-deterministic for a given config: row orders
 are fixed, floats are written in shortest round-trip form, and nothing
-derived from wall-clock time reaches a file.  Set WUGBENCH_THREADS to
-train (arch, seed) units in parallel processes; outputs are identical
+derived from wall-clock time reaches a file.  Set WUGBENCH_THREADS to run
+each stage's units in that many worker processes; outputs are identical
 either way.
 """
 
@@ -113,7 +114,6 @@ class ExperimentConfig:
     lr: float = 0.001
     clip_norm: float = 5.0
     sample_productions: int = 0
-    save_checkpoints: bool = True
     model_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -126,13 +126,15 @@ class ExperimentConfig:
             raise RunnerError(f"unknown architectures: {sorted(unknown)}")
         if not self.seeds:
             raise RunnerError("at least one seed is required")
-        if self.epochs < 1 or self.batch_size < 1 or self.beam_width < 1:
-            raise RunnerError("epochs, batch_size and beam_width must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("beam_width", 1),
+                          ("split_seed", 0), ("sample_productions", 0), ("seeds", 0)):
+            value = getattr(self, name)
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= low
+                       for v in (value if name == "seeds" else (value,))):
+                raise RunnerError(f"{name} takes integers >= {low}, got {value!r}")
         for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.sample_productions < 0:
-            raise RunnerError("sample_productions must be >= 0")
         if not isinstance(self.model_overrides, dict):
             raise RunnerError(f"model_overrides must be a mapping, got {self.model_overrides!r}")
         tunable = set(ModelConfig.__dataclass_fields__) - {"arch", "vocab_size"}
@@ -407,53 +409,82 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
 
 
 # ---------------------------------------------------------------------------
-# unit execution (serial or process pool)
-
-
-@dataclass
-class UnitResult:
-    outcome: TrainOutcome
-    accuracy_rows: list[dict]
-    f1_rows: list[dict]
-    rating_rows: list[dict]
-    outcomes: dict[str, list[str]]
+# the per-unit path: each stage maps one of these over the units
 
 
 def checkpoint_path(out_dir, arch: str, seed: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"{arch}-seed{seed}.npz"
 
 
-def _run_unit(payload: tuple[dict, str, int, bool]) -> UnitResult:
-    """Train one unit and checkpoint it; with ``evaluate`` also decode the
-    test set and score the wugs with the model still in memory."""
-    config_dict, arch, seed, evaluate = payload
-    config = ExperimentConfig.from_dict(config_dict)
-    bundle = load_data(config)
+def _train_and_save(config: ExperimentConfig, bundle: DataBundle, arch: str,
+                    seed: int) -> TrainOutcome:
+    """Train one unit and write its checkpoint.  A diverged unit deletes
+    any checkpoint an earlier training left, so no stage evaluates it."""
     outcome, model = train_unit(config, bundle, arch, seed)
+    path = checkpoint_path(config.out_dir, arch, seed)
     if model is None:
-        return UnitResult(outcome, [], [], [], {})
-    if config.save_checkpoints:
-        path = checkpoint_path(config.out_dir, arch, seed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(
-            path, model.params,
-            meta={
-                "arch": arch, "seed": seed, "language": bundle.lang,
-                "best_epoch": outcome.best_epoch,
-                "best_dev_accuracy": float(outcome.best_dev_accuracy),
-                "param_count": outcome.param_count,
-                "config_hash": config.hash(),
-                "model_config": model.config.to_dict(),
-                "alphabet": list(bundle.alphabet.symbols),
-            })
-    if not evaluate:
-        return UnitResult(outcome, [], [], [], {})
-    acc_rows, f1_rows = eval_test(model, bundle, config.beam_width, arch, seed)
-    rating_rows: list[dict] = []
-    outcomes: dict[str, list[str]] = {}
-    if bundle.wugs is not None:
-        rating_rows, outcomes = score_wugs(model, bundle, config, arch, seed)
-    return UnitResult(outcome, acc_rows, f1_rows, rating_rows, outcomes)
+        path.unlink(missing_ok=True)
+        return outcome
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(
+        path, model.params,
+        meta={
+            "arch": arch, "seed": seed, "language": bundle.lang,
+            "best_epoch": outcome.best_epoch,
+            "best_dev_accuracy": float(outcome.best_dev_accuracy),
+            "param_count": outcome.param_count,
+            "config_hash": config.hash(),
+            "model_config": model.config.to_dict(),
+            "alphabet": list(bundle.alphabet.symbols),
+        })
+    return outcome
+
+
+def _load_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: int):
+    """The unit's model rebuilt from its checkpoint, checked against data and config."""
+    path = checkpoint_path(config.out_dir, arch, seed)
+    arrays, meta = load_checkpoint(path)
+    if tuple(meta.get("alphabet", ())) != bundle.alphabet.symbols:
+        raise RunnerError(f"{path}: checkpoint alphabet does not match the data")
+    mcfg = config.model_config(arch, len(bundle.alphabet))
+    want = {f"model_config.{k}": v for k, v in mcfg.to_dict().items()}
+    got = {f"model_config.{k}": v for k, v in meta.get("model_config", {}).items()}
+    want.update(arch=arch, seed=seed)
+    got.update(arch=meta.get("arch"), seed=meta.get("seed"))
+    differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    if differ:
+        raise RunnerError(f"{path}: checkpoint does not match the config in {differ}")
+    model = build_model(mcfg, seeded_rng(seed, INIT_STREAM))
+    restore_into(model.params, arrays)
+    return model
+
+
+def _eval_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: int):
+    return eval_test(_load_unit(config, bundle, arch, seed), bundle, config.beam_width,
+                     arch, seed)
+
+
+def _wug_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: int):
+    return (arch, *score_wugs(_load_unit(config, bundle, arch, seed), bundle, config,
+                              arch, seed))
+
+
+def _units(config: ExperimentConfig) -> list[tuple[str, int]]:
+    return [(arch, seed) for arch in config.architectures for seed in config.seeds]
+
+
+def _trained_units(config: ExperimentConfig) -> list[tuple[str, int]]:
+    """The configured units that units.csv does not record as diverged.
+    Each must have a checkpoint, or this raises naming those without."""
+    units_csv = Path(config.out_dir) / "units.csv"
+    diverged = {(row["model"], int(row["seed"])) for row in read_csv_rows(units_csv)
+                if row["diagnostic"]} if units_csv.exists() else set()
+    trained = [unit for unit in _units(config) if unit not in diverged]
+    missing = [f"{arch}-seed{seed}" for arch, seed in trained
+               if not checkpoint_path(config.out_dir, arch, seed).exists()]
+    if missing:
+        raise RunnerError(f"no checkpoints under {config.out_dir} for {', '.join(missing)}")
+    return trained
 
 
 def _worker_count() -> int:
@@ -465,17 +496,16 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def execute_units(config: ExperimentConfig, evaluate: bool = True) -> list[UnitResult]:
-    payloads = [
-        (config.to_dict(), arch, seed, evaluate)
-        for arch in config.architectures
-        for seed in config.seeds
-    ]
-    workers = _worker_count()
-    if workers == 1 or len(payloads) == 1:
-        return [_run_unit(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(_run_unit, payloads))
+def _map_units(fn, config: ExperimentConfig, bundle: DataBundle,
+               units: Sequence[tuple[str, int]]) -> list:
+    """``fn(config, bundle, arch, seed)`` for each unit, results in unit
+    order: serially, or in WUGBENCH_THREADS worker processes."""
+    payloads = [(config, bundle, arch, seed) for arch, seed in units]
+    workers = min(_worker_count(), len(payloads))
+    if workers <= 1:
+        return [fn(*payload) for payload in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*payloads)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +737,11 @@ def _emit_eval(out_dir: Path, accuracy_rows: list[dict], f1_rows: list[dict]) ->
     write_csv(out_dir / "f1.csv", F1_HEADER, sorted(f1_rows, key=key))
 
 
-def _emit_wug(out_dir: Path, bundle: DataBundle,
+def _emit_wug(out_dir: Path, bundle: DataBundle | None,
               scored: Iterable[tuple[str, list[dict], dict[str, list[str]]]]) -> None:
     """ratings.csv, correlations.csv and productions.csv from each unit's
-    (arch, rating rows, lemma -> produced classes), given in unit order."""
+    (arch, rating rows, lemma -> produced classes), given in unit order;
+    header-only files without a bundle."""
     rating_rows: list[dict] = []
     outcomes_by_arch: dict[str, dict[str, list[list[str]]]] = {}
     for arch, rows, outcomes in scored:
@@ -723,7 +754,7 @@ def _emit_wug(out_dir: Path, bundle: DataBundle,
     write_csv(out_dir / "ratings.csv", RATINGS_HEADER, rating_rows)
     correlation_rows: list[dict] = []
     production_rows: list[dict] = []
-    if bundle.wugs is not None:
+    if bundle is not None:
         correlation_rows = compute_correlations(bundle.lang, rating_rows, bundle.wugs)
         production_rows = compute_production_rows(
             bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs)
@@ -736,18 +767,15 @@ def _emit_wug(out_dir: Path, bundle: DataBundle,
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Train, evaluate and score every unit, then report; returns the
-    summary dict it wrote.  Each unit is evaluated with its model still in
-    memory, so no checkpoint is read back."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_data(config)
-    results = execute_units(config)
-    _emit_training(out_dir, [res.outcome for res in results])
-    _emit_eval(out_dir, [row for res in results for row in res.accuracy_rows],
-               [row for res in results for row in res.f1_rows])
-    _emit_wug(out_dir, bundle,
-              [(res.outcome.arch, res.rating_rows, res.outcomes) for res in results])
+    """Train, test and wug-score every unit, then report; returns the
+    summary dict it wrote."""
+    run_train(config)
+    run_eval(config)
+    if config.wugs is None:
+        # header-only: no correlations of an earlier run in out_dir reach the summary
+        _emit_wug(Path(config.out_dir), None, [])
+    else:
+        run_wug(config)
     return run_report(config)
 
 
@@ -764,63 +792,26 @@ def run_split(config: ExperimentConfig) -> None:
 
 def run_train(config: ExperimentConfig) -> None:
     """Train the configured units; write checkpoints, curves and units.csv."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = ExperimentConfig.from_dict({**config.to_dict(), "save_checkpoints": True})
-    results = execute_units(config, evaluate=False)
-    _emit_training(out_dir, [res.outcome for res in results])
-
-
-def _load_trained(config: ExperimentConfig, bundle: DataBundle):
-    """Yield (arch, seed, model) from the checkpoints of this run dir."""
-    ckpt_dir = Path(config.out_dir) / "checkpoints"
-    if not ckpt_dir.is_dir():
-        raise RunnerError(f"no checkpoints directory under {config.out_dir}")
-    for arch in config.architectures:
-        for seed in config.seeds:
-            path = checkpoint_path(config.out_dir, arch, seed)
-            if not path.exists():
-                continue
-            arrays, meta = load_checkpoint(path)
-            if tuple(meta.get("alphabet", ())) != bundle.alphabet.symbols:
-                raise RunnerError(f"{path}: checkpoint alphabet does not match the data")
-            mcfg = config.model_config(arch, len(bundle.alphabet))
-            want = {f"model_config.{k}": v for k, v in mcfg.to_dict().items()}
-            got = {f"model_config.{k}": v for k, v in meta.get("model_config", {}).items()}
-            want.update(arch=arch, seed=seed)
-            got.update(arch=meta.get("arch"), seed=meta.get("seed"))
-            differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-            if differ:
-                raise RunnerError(f"{path}: checkpoint does not match the config in {differ}")
-            model = build_model(mcfg, seeded_rng(seed, INIT_STREAM))
-            restore_into(model.params, arrays)
-            yield arch, seed, model
+    bundle = load_data(config)
+    outcomes = _map_units(_train_and_save, config, bundle, _units(config))
+    _emit_training(Path(config.out_dir), outcomes)
 
 
 def run_eval(config: ExperimentConfig) -> None:
-    """Test-set evaluation of stored checkpoints."""
+    """Test-set evaluation of the trained units, read from their checkpoints."""
     bundle = load_data(config)
-    accuracy_rows: list[dict] = []
-    f1_rows: list[dict] = []
-    for arch, seed, model in _load_trained(config, bundle):
-        acc, f1 = eval_test(model, bundle, config.beam_width, arch, seed)
-        accuracy_rows.extend(acc)
-        f1_rows.extend(f1)
-    if not accuracy_rows:
-        raise RunnerError("no checkpoints matched the configured architectures/seeds")
-    _emit_eval(Path(config.out_dir), accuracy_rows, f1_rows)
+    results = _map_units(_eval_unit, config, bundle, _trained_units(config))
+    _emit_eval(Path(config.out_dir), [row for acc, _ in results for row in acc],
+               [row for _, f1 in results for row in f1])
 
 
 def run_wug(config: ExperimentConfig) -> None:
-    """Wug scoring of stored checkpoints: ratings, productions, correlations."""
+    """Wug scoring of the trained units' checkpoints: ratings, productions, correlations."""
     bundle = load_data(config)
     if bundle.wugs is None:
         raise RunnerError("wug scoring needs a 'wugs' entry in the config")
-    scored = [(arch, *score_wugs(model, bundle, config, arch, seed))
-              for arch, seed, model in _load_trained(config, bundle)]
-    if not scored:
-        raise RunnerError("no checkpoints matched the configured architectures/seeds")
-    _emit_wug(Path(config.out_dir), bundle, scored)
+    _emit_wug(Path(config.out_dir), bundle,
+              _map_units(_wug_unit, config, bundle, _trained_units(config)))
 
 
 REPORT_INPUTS = ("units.csv", "accuracy.csv", "f1.csv", "correlations.csv")

@@ -466,7 +466,6 @@ def smoke(tmp_path_factory):
         wugs=str(root / "wugs.tsv"),
         seeds=(1, 2),
         epochs=5,
-        save_checkpoints=False,
     )
     names = ["training_curves.csv", "accuracy.csv", "f1.csv", "ratings.csv",
              "correlations.csv", "productions.csv", "summary.json"]

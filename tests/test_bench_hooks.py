@@ -89,7 +89,7 @@ def _tiny_run(tmp_path, architectures):
     config = runner.ExperimentConfig(
         out_dir=str(tmp_path / "run"), dataset=str(tmp_path / "en.tsv"),
         wugs=str(tmp_path / "wugs.tsv"), architectures=architectures,
-        seeds=(1,), epochs=1, batch_size=8, beam_width=2, save_checkpoints=False,
+        seeds=(1,), epochs=1, batch_size=8, beam_width=2,
         model_overrides={"default": {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6,
                                      "enc_layers": 1, "d_model": 8, "ffn_dim": 16,
                                      "heads": 2, "enc_blocks": 1, "dec_blocks": 1}})

@@ -95,6 +95,15 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(misspelled)]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # a fractional epoch count is refused at load, not by a TypeError in training
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"), "dataset": str(tmp_path / "en.tsv"),
+        "architectures": ["unilstm_noattn"], "seeds": [1], "epochs": 2.5,
+    }), encoding="utf-8")
+    assert main(["train", "--config", str(fractional)]) == 1
+    assert "error: epochs takes integers" in capsys.readouterr().err
+
     # so is a value the model refuses, even for an architecture that would
     # train after another unit
     bad_heads = tmp_path / "bad_heads.json"
@@ -185,6 +194,21 @@ def test_eval_refuses_truncated_checkpoint(workspace, tmp_path, capsys):
     assert main(["eval", "--config", str(trained)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(ckpt) in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
+def test_eval_refuses_untrained_unit(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir=str(tmp_path / "run"), epochs=1)
+    trained = tmp_path / "config.json"
+    trained.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(trained), "--seeds", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(trained), "--seeds", "1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unilstm_attn-seed2" in err
+    assert "unilstm_attn-seed1" not in err
     assert not (tmp_path / "run" / "accuracy.csv").exists()
 
 

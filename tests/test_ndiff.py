@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import os
 import re
+import stat
 import zipfile
 
 import numpy as np
@@ -532,6 +534,27 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_fsyncs_file_before_rename_and_directory_after(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino, st.st_size))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    path, _ = _saved_checkpoint(tmp_path)
+    ino = path.stat().st_ino
+    assert events == [("fsync", False, ino, path.stat().st_size), ("replace", ino),
+                      ("fsync", True, tmp_path.stat().st_ino, tmp_path.stat().st_size)]
 
 
 _META_JSON = json.dumps({"arch": "test"})

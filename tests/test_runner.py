@@ -143,6 +143,8 @@ def test_config_from_dict_rejects_unknown_keys():
     ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -0.001), ("lr", "0.1"),
     ("clip_norm", float("nan")), ("clip_norm", float("inf")), ("clip_norm", 0.0),
     ("clip_norm", -5.0), ("sample_productions", -1),
+    ("epochs", 2.5), ("epochs", True), ("batch_size", "8"), ("beam_width", 3.0),
+    ("split_seed", 0.5), ("sample_productions", 1.5), ("seeds", [1, 2.5]), ("seeds", [True]),
 ])
 def test_config_from_dict_rejects_bad_training_values(key, value):
     with pytest.raises(RunnerError, match=key):
@@ -267,6 +269,31 @@ def test_run_experiment_survives_divergence(corpora, tmp_path):
     assert "1" in diverged
     rows = read_csv_rows(tmp_path / "accuracy.csv")
     assert rows == []  # header only: the diverged unit contributed nothing
+
+
+def test_diverged_retrain_removes_stale_checkpoint(corpora, tmp_path):
+    config = _en_config(corpora, tmp_path, architectures=("unilstm_noattn",), epochs=1)
+    run_train(config)
+    assert (tmp_path / "checkpoints" / "unilstm_noattn-seed1.npz").exists()
+    with np.errstate(all="ignore"):
+        run_train(_en_config(corpora, tmp_path, architectures=("unilstm_noattn",),
+                             epochs=1, lr=1e308))
+    assert not (tmp_path / "checkpoints" / "unilstm_noattn-seed1.npz").exists()
+    run_eval(config)
+    assert read_csv_rows(tmp_path / "accuracy.csv") == []
+
+
+def test_run_without_wugs_clears_earlier_wug_files(corpora, tmp_path):
+    config = _en_config(corpora, tmp_path, architectures=("unilstm_noattn",), epochs=1)
+    summary = run_experiment(config)
+    assert summary["models"]["unilstm_noattn"]["rating_correlations"]
+    summary = run_experiment(_en_config(corpora, tmp_path, architectures=("unilstm_noattn",),
+                                        epochs=1, wugs=None))
+    for name, header in (("ratings.csv", RATINGS_HEADER),
+                         ("correlations.csv", CORRELATIONS_HEADER),
+                         ("productions.csv", PRODUCTIONS_HEADER)):
+        assert (tmp_path / name).read_text(encoding="utf-8") == ",".join(header) + "\n"
+    assert all(entry["rating_correlations"] == {} for entry in summary["models"].values())
 
 
 def test_staged_report_records_divergence(corpora, tmp_path, capsys):
