@@ -76,9 +76,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         blob["architectures"] = [args.arch]
     if args.seeds:
         blob["seeds"] = args.seeds
-    if args.epochs:
+    if args.epochs is not None:
         blob["epochs"] = args.epochs
-    if args.beam_width:
+    if args.beam_width is not None:
         blob["beam_width"] = args.beam_width
     if args.out:
         blob["out_dir"] = args.out

@@ -1,12 +1,17 @@
 """Decoding: greedy, beam search, ancestral sampling, forced scoring.
 
 Everything here drives a model through the one protocol of
-``seq2seq.model``.  Greedy and beam search step all their live
-hypotheses together through ``decode_step_batch``, which every model
-has; sampling uses its one-row case ``decode_step``.  Forced scoring runs
-``teacher_forced_logprobs``, the pass training runs.  Symbol sequences in
-hypotheses never include the start id; the end id is consumed (its
-probability counts toward the score) but not stored.
+``seq2seq.model``.  Greedy and beam search take a list of sources and work
+through it in chunks of ``CHUNK``: each chunk is encoded as one padded
+pass, and every live hypothesis of every source in it advances as one row
+of a single ``decode_step_batch`` call, as in fairseq's batched generator
+(Ott et al. 2019).  Ranking, tie-breaks and the length cap stay per
+source, and a source's rows leave the batch once it is done.  Forced
+scoring runs each chunk of (source, target) pairs through one padded
+``teacher_forced_logprobs`` pass, the pass training runs.  Sampling
+steps one source with ``decode_step``.  Symbol sequences in hypotheses
+never include the start id; the end id is consumed (its probability
+counts toward the score) but not stored.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .corpus import BOS, EOS
 from .ndiff import no_grad
 from .ndiff.tensor import ContractError
 
+# Sources (or forced pairs) per batched pass.  Fixed in code, so results do
+# not depend on the machine or the worker count; a chunk of beam-12 rows
+# keeps the transformer's self-attention cache to tens of megabytes.
+CHUNK = 16
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -28,7 +38,16 @@ class Hypothesis:
 
     symbols: tuple[int, ...]
     logprob: float
-    state: object
+    finished: bool
+
+
+@dataclass(frozen=True)
+class Beam:
+    """Beam search result for one source: ``hyps`` best-first.  ``finished``
+    is False when nothing finished within the length cap and ``hyps`` are
+    the best unfinished hypotheses."""
+
+    hyps: tuple[Hypothesis, ...]
     finished: bool
 
 
@@ -55,35 +74,61 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
-def _extend(model, logprobs, states, prev_ids):
-    """One decoding step for hypotheses fed ``prev_ids``: returns the scores
-    of every continuation, logprob + log P(sym) as [k, V], and the stepped
-    states.  Greedy decoding is the k=1 case of what beam search runs."""
-    probs, states = model.decode_step_batch(states, prev_ids)
+def _chunks(items: list) -> list[list]:
+    return [items[start:start + CHUNK] for start in range(0, len(items), CHUNK)]
+
+
+def _extend(model, logprobs, state, prev_ids):
+    """One decoding step for rows fed ``prev_ids``: returns the scores of
+    every continuation, logprob + log P(sym) as [N, V], and the stepped
+    state.  Greedy decoding steps what beam search steps."""
+    probs, state = model.decode_step_batch(state, prev_ids)
     with np.errstate(divide="ignore"):
-        return np.asarray(logprobs)[:, None] + np.log(probs), states
+        return np.asarray(logprobs)[:, None] + np.log(probs), state
 
 
-def greedy_decode(model, src_ids, max_len: int | None = None) -> Hypothesis:
-    """Follow the argmax at every step (ties break to the lowest id)."""
-    if max_len is None:
-        max_len = default_max_len(src_ids)
-    if max_len < 1:
-        raise ContractError(f"greedy_decode: max_len must be >= 1, got {max_len}")
+def _decode(run, model, sources, max_len: int | None, caller: str, *args) -> list:
+    """``run(model, sources, max_lens, *args)`` on each chunk of sources,
+    every source capped at ``max_len`` or its default length."""
+    if max_len is not None and max_len < 1:
+        raise ContractError(f"{caller}: max_len must be >= 1, got {max_len}")
+    sources = [list(s) for s in sources]
+    max_lens = [default_max_len(s) if max_len is None else max_len for s in sources]
     with no_grad():
-        state = model.encode(src_ids)
-        symbols: list[int] = []
-        logprob = 0.0
-        prev = BOS
-        for _ in range(max_len):
-            scores, (state,) = _extend(model, [logprob], [state], [prev])
-            sym = int(np.argmax(scores[0]))
-            logprob = float(scores[0, sym])
-            if sym == EOS:
-                return Hypothesis(tuple(symbols), logprob, state, True)
-            symbols.append(sym)
-            prev = sym
-    return Hypothesis(tuple(symbols), logprob, state, False)
+        return [result for chunk, lens in zip(_chunks(sources), _chunks(max_lens))
+                for result in run(model, chunk, lens, *args)]
+
+
+def greedy_decode(model, sources, max_len: int | None = None) -> list[Hypothesis]:
+    """Follow the argmax at every step (ties break to the lowest id); one
+    hypothesis per source."""
+    return _decode(_greedy_chunk, model, sources, max_len, "greedy_decode")
+
+
+def _greedy_chunk(model, sources, max_lens) -> list[Hypothesis]:
+    state = model.encode(sources)
+    rows = list(range(len(sources)))  # the source of each row
+    symbols: list[list[int]] = [[] for _ in sources]
+    logprobs, prev = np.zeros(len(sources)), [BOS] * len(sources)
+    done: list[Hypothesis | None] = [None] * len(sources)
+    for step in range(max(max_lens)):
+        scores, state = _extend(model, logprobs, state, prev)
+        prev = scores.argmax(axis=1)
+        logprobs = scores[np.arange(len(rows)), prev]
+        keep = []
+        for row, s in enumerate(rows):
+            ended = bool(prev[row] == EOS)
+            if not ended:
+                symbols[s].append(int(prev[row]))
+            if ended or step + 1 == max_lens[s]:
+                done[s] = Hypothesis(tuple(symbols[s]), float(logprobs[row]), ended)
+            else:
+                keep.append(row)
+        if not keep:
+            break
+        rows, logprobs, prev = [rows[row] for row in keep], logprobs[keep], prev[keep]
+        state = state.take(keep)
+    return done
 
 
 def sample_decode(model, src_ids, rng: np.random.Generator,
@@ -92,7 +137,7 @@ def sample_decode(model, src_ids, rng: np.random.Generator,
     if max_len is None:
         max_len = default_max_len(src_ids)
     with no_grad():
-        state = model.encode(src_ids)
+        state = model.encode([src_ids])
         symbols: list[int] = []
         logprob = 0.0
         prev = BOS
@@ -102,67 +147,85 @@ def sample_decode(model, src_ids, rng: np.random.Generator,
             sym = int(rng.choice(len(probs), p=probs))
             logprob += _log(float(probs[sym]))
             if sym == EOS:
-                return Hypothesis(tuple(symbols), logprob, state, True)
+                return Hypothesis(tuple(symbols), logprob, True)
             symbols.append(sym)
             prev = sym
-    return Hypothesis(tuple(symbols), logprob, state, False)
+    return Hypothesis(tuple(symbols), logprob, False)
 
 
-def beam_search(model, src_ids, width: int, max_len: int | None = None) -> list[Hypothesis]:
-    """Beam search over raw log-probability.
+def beam_search(model, sources, width: int, max_len: int | None = None) -> list[Beam]:
+    """Beam search over raw log-probability, one ``Beam`` per source.
 
-    Each step scores every live hypothesis over the whole vocabulary as
-    one [k, V] matrix and keeps the ``width`` best continuations;
-    continuations ending in the end id retire to a finished pool and give
-    up their slot.  Ranking and all tie-breaks are by (-logprob, symbols),
-    so results are deterministic.
-    Returns finished hypotheses best-first, or the best unfinished ones
-    (flagged) if nothing finished within ``max_len`` steps.
+    Each step scores every live hypothesis of a source over the whole
+    vocabulary and keeps that source's ``width`` best continuations;
+    continuations ending in the end id retire to the source's finished pool
+    and give up their slot.  Ranking and all tie-breaks are by (-logprob,
+    symbols), so results are deterministic.  A beam holds the finished
+    hypotheses best-first, or the best unfinished ones (flagged) if nothing
+    finished within the source's ``max_len`` steps.
     """
     if width < 1:
         raise ContractError(f"beam_search: width must be >= 1, got {width}")
-    if max_len is None:
-        max_len = default_max_len(src_ids)
-    if max_len < 1:
-        raise ContractError(f"beam_search: max_len must be >= 1, got {max_len}")
+    return _decode(_beam_chunk, model, sources, max_len, "beam_search", width)
 
-    with no_grad():
-        live = [Hypothesis((), 0.0, model.encode(src_ids), False)]
-        finished: list[Hypothesis] = []
-        for _ in range(max_len):
-            if not live:
-                break
-            scores, states = _extend(
-                model, [h.logprob for h in live], [h.state for h in live],
-                [h.symbols[-1] if h.symbols else BOS for h in live])
-            # live is kept in symbol order and its prefixes share one length,
+
+def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
+    state = model.encode(sources)
+    # per source, (symbols, logprob) of its live hypotheses in symbol order
+    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in sources]
+    finished: list[list[Hypothesis]] = [[] for _ in sources]
+    stepping = list(range(len(sources)))  # sources with rows in the state, in row order
+    for step in range(max(max_lens)):
+        hyps = [h for s in stepping for h in live[s]]
+        scores, state = _extend(model, [lp for _, lp in hyps], state,
+                                [sym[-1] if sym else BOS for sym, _ in hyps])
+        parents, still, first = [], [], 0
+        for s in stepping:
+            block = scores[first:first + len(live[s])]
+            # a source's prefixes share one length and sit in symbol order,
             # so flat index order is symbol order and a stable sort breaks
             # score ties by symbols
-            best = np.argsort(-scores.ravel(), kind="stable")
-            parents, live = live, []
-            for flat in best[:width]:
-                i, sym = divmod(int(flat), scores.shape[1])
-                symbols = parents[i].symbols + (sym,)
-                logprob = float(scores[i, sym])
+            kids = []
+            for flat in np.argsort(-block.ravel(), kind="stable")[:width]:
+                i, sym = divmod(int(flat), block.shape[1])
+                symbols = live[s][i][0] + (sym,)
+                logprob = float(block[i, sym])
                 if sym == EOS:
-                    finished.append(Hypothesis(symbols[:-1], logprob, states[i], True))
+                    finished[s].append(Hypothesis(symbols[:-1], logprob, True))
                 else:
-                    live.append(Hypothesis(symbols, logprob, states[i], False))
-            live.sort(key=lambda h: h.symbols)
+                    kids.append((symbols, logprob, first + i))
+            kids.sort(key=lambda kid: kid[0])
+            first += len(live[s])
+            live[s] = [(symbols, logprob) for symbols, logprob, _ in kids]
+            if kids and step + 1 < max_lens[s]:
+                still.append(s)
+                parents += [parent for *_, parent in kids]
+        if not still:
+            break
+        stepping = still
+        state = state.take(parents)
 
-    pool = finished if finished else live
-    pool = sorted(pool, key=lambda h: (-h.logprob, h.symbols))
-    return pool[:width]
+    beams = []
+    for s, done in enumerate(finished):
+        pool = done or [Hypothesis(symbols, logprob, False) for symbols, logprob in live[s]]
+        pool = sorted(pool, key=lambda h: (-h.logprob, h.symbols))
+        beams.append(Beam(tuple(pool[:width]), bool(done)))
+    return beams
 
 
-def force_score(model, src_ids, tgt_ids) -> ForcedScore:
-    """Score a given target sequence (which must end with the end id) by
-    the model's teacher-forced pass."""
-    tgt_ids = list(tgt_ids)
-    if not tgt_ids or tgt_ids[-1] != EOS:
+def force_score(model, pairs) -> list[ForcedScore]:
+    """Score given (source, target) pairs by the model's teacher-forced
+    pass, one padded pass per chunk; every target must end with the end id."""
+    pairs = [(list(src), list(tgt)) for src, tgt in pairs]
+    if any(not tgt or tgt[-1] != EOS for _, tgt in pairs):
         raise ContractError("force_score: target must be non-empty and end with the end id")
-    with no_grad():
-        steps = model.teacher_forced_logprobs(src_ids, tgt_ids).data
-    raw = float(steps.sum())
-    normalized = math.exp(raw / len(tgt_ids)) if math.isfinite(raw) else 0.0
-    return ForcedScore(raw, normalized, tuple(float(s) for s in steps))
+    out: list[ForcedScore] = []
+    for chunk in _chunks(pairs):
+        with no_grad():
+            logprobs, _ = model.teacher_forced_logprobs(chunk)
+        for (_, tgt), row in zip(chunk, logprobs.data.reshape(len(chunk), -1)):
+            steps = row[:len(tgt)]
+            raw = float(steps.sum())
+            normalized = math.exp(raw / len(tgt)) if math.isfinite(raw) else 0.0
+            out.append(ForcedScore(raw, normalized, tuple(float(s) for s in steps)))
+    return out

@@ -133,7 +133,8 @@ class ExperimentConfig:
                        for v in (value if name == "seeds" else (value,))):
                 raise RunnerError(f"{name} takes integers >= {low}, got {value!r}")
         for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
                 raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
         if not isinstance(self.model_overrides, dict):
             raise RunnerError(f"model_overrides must be a mapping, got {self.model_overrides!r}")
@@ -244,12 +245,9 @@ def load_data(config: ExperimentConfig) -> DataBundle:
 
 def _greedy_accuracy(model, alphabet: cp.Alphabet,
                      examples: Sequence[cp.InflectionExample]) -> float:
-    golds = [ex.form for ex in examples]
-    preds = []
-    for ex in examples:
-        hyp = greedy_decode(model, alphabet.encode_source(ex.tags, ex.lemma))
-        preds.append(alphabet.decode(hyp.symbols))
-    return exact_match_accuracy(golds, preds)
+    hyps = greedy_decode(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in examples])
+    return exact_match_accuracy([ex.form for ex in examples],
+                                [alphabet.decode(hyp.symbols) for hyp in hyps])
 
 
 @dataclass
@@ -335,12 +333,11 @@ def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
               seed: int) -> tuple[list[dict], list[dict]]:
     """Beam-decode the test set; returns (accuracy rows, f1 rows)."""
     alphabet = bundle.alphabet
-    golds, preds, classes = [], [], []
-    for ex in bundle.test:
-        hyp = beam_search(model, alphabet.encode_source(ex.tags, ex.lemma), beam_width)[0]
-        golds.append(ex.form)
-        preds.append(alphabet.decode(hyp.symbols))
-        classes.append(ex.cls)
+    beams = beam_search(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in bundle.test],
+                        beam_width)
+    golds = [ex.form for ex in bundle.test]
+    preds = [alphabet.decode(beam.hyps[0].symbols) for beam in beams]
+    classes = [ex.cls for ex in bundle.test]
     acc_rows = [{
         "lang": bundle.lang, "model": arch, "seed": seed, "class": "all",
         "accuracy": exact_match_accuracy(golds, preds),
@@ -383,28 +380,27 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
     """
     alphabet = bundle.alphabet
     identity = f"{arch}-seed{seed}"
-    rating_rows: list[dict] = []
-    outcomes: dict[str, list[str]] = {}
-    sample_rng = seeded_rng(seed, SAMPLE_STREAM) if config.sample_productions else None
-    for item in bundle.wugs.items:
-        for cand in item.candidates:
-            src = alphabet.encode_source(cand.tags, item.lemma)
-            score = force_score(model, src, alphabet.encode_target(cand.form))
-            rating_rows.append({
-                "lemma": item.lemma, "form": cand.form, "class": cand.cls,
-                "context": item.context or cand.cls, "seed": identity,
-                "normalized_prob": score.normalized_prob,
-                "raw_logprob": score.raw_logprob,
-            })
-        src = alphabet.encode_source(item.candidates[0].tags, item.lemma)
-        if config.sample_productions:
-            produced = [
-                alphabet.decode(sample_decode(model, src, sample_rng).symbols)
-                for _ in range(config.sample_productions)
-            ]
-        else:
-            produced = [alphabet.decode(beam_search(model, src, config.beam_width)[0].symbols)]
-        outcomes[item.lemma] = [_production_class(bundle.lang, item, p) for p in produced]
+    items = bundle.wugs.items
+    candidates = [(item, cand) for item in items for cand in item.candidates]
+    scores = force_score(model, [
+        (alphabet.encode_source(cand.tags, item.lemma), alphabet.encode_target(cand.form))
+        for item, cand in candidates])
+    rating_rows = [{
+        "lemma": item.lemma, "form": cand.form, "class": cand.cls,
+        "context": item.context or cand.cls, "seed": identity,
+        "normalized_prob": score.normalized_prob,
+        "raw_logprob": score.raw_logprob,
+    } for (item, cand), score in zip(candidates, scores)]
+    sources = [alphabet.encode_source(item.candidates[0].tags, item.lemma) for item in items]
+    if config.sample_productions:
+        sample_rng = seeded_rng(seed, SAMPLE_STREAM)
+        produced = [[alphabet.decode(sample_decode(model, src, sample_rng).symbols)
+                     for _ in range(config.sample_productions)] for src in sources]
+    else:
+        produced = [[alphabet.decode(beam.hyps[0].symbols)]
+                    for beam in beam_search(model, sources, config.beam_width)]
+    outcomes = {item.lemma: [_production_class(bundle.lang, item, p) for p in forms]
+                for item, forms in zip(items, produced)}
     return rating_rows, outcomes
 
 

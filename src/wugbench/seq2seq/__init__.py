@@ -1,18 +1,17 @@
 """Character-level encoder-decoder architectures."""
 
 from .config import ARCHITECTURES, LSTM_ARCHITECTURES, ModelConfig
-from .lstm import LSTMSeq2Seq, LSTMState
-from .model import build_model, count_parameters
-from .transformer import TransformerSeq2Seq, TransformerState, causal_mask, positional_encoding
+from .lstm import LSTMSeq2Seq
+from .model import DecodeState, build_model, count_parameters
+from .transformer import TransformerSeq2Seq, causal_mask, positional_encoding
 
 __all__ = [
     "ARCHITECTURES",
     "LSTM_ARCHITECTURES",
+    "DecodeState",
     "LSTMSeq2Seq",
-    "LSTMState",
     "ModelConfig",
     "TransformerSeq2Seq",
-    "TransformerState",
     "build_model",
     "causal_mask",
     "count_parameters",

@@ -15,12 +15,14 @@ target) pairs as one graph.  The encoder's rows are dead at padded
 positions: going forward a row carries its last real state to the end,
 going backward its zero start state waits for its last symbol.  Attention
 masks padded source positions; padded targets come last and get weight 0.
-``decode_step_batch`` steps k hypotheses of one source as k rows.
+Decoding works the same way: ``encode`` runs many sources as one padded
+pass, and ``decode_step_batch`` steps every hypothesis of every source as
+one row, attending over its own source's memory and padding mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,20 +43,8 @@ from ..ndiff import (
     softmax,
     tanh,
 )
-from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import Seq2Seq, _key_mask, _padded, target_logprobs
-
-
-@dataclass(frozen=True)
-class LSTMState:
-    """Decoder state of one hypothesis; immutable so search can fork it."""
-
-    h: np.ndarray
-    c: np.ndarray
-    ctx: np.ndarray              # context vector fed with the next input
-    memory: np.ndarray | None    # [S, ctx_dim] encoder outputs, attentional only
-    keys: np.ndarray | None      # [S, attn_dim] pre-projected memory
+from .model import DecodeState, Seq2Seq, _padded, _padded_sources, target_logprobs
 
 
 class LSTMSeq2Seq(Seq2Seq):
@@ -126,10 +116,9 @@ class LSTMSeq2Seq(Seq2Seq):
         return out, h, c
 
     def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
-        """Decoder start for padded source ids [B, S], as the LSTMState
-        fields of B rows: memory is [B, S, ctx_dim] and keys [B, S, attn_dim]."""
-        if src_len.min() == 0:
-            raise ContractError("encode: empty source sequence")
+        """Decoder start for padded source ids [B, S]: the rows' (h, c,
+        context fed with the first input) and, attentional only, the
+        memory [B, S, ctx_dim] and its pre-projected keys [B, S, attn_dim]."""
         cfg = self.config
         batch, width = src.shape
         live = np.arange(width)[:, None] < src_len[None, :]
@@ -156,10 +145,14 @@ class LSTMSeq2Seq(Seq2Seq):
         return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))),
                 reshape(rows, (batch, width, -1)), reshape(keys, (batch, width, -1)))
 
-    def encode(self, src_ids) -> LSTMState:
+    def encode(self, sources) -> DecodeState:
+        """The decoder start of every source as the rows of one state; the
+        attentional memory, keys and padding mask are shared per source."""
+        src, src_len, mask = _padded_sources(sources)
         with no_grad():
-            start = self._encode(*_padded([src_ids]), False, None)
-        return LSTMState(*(None if t is None else t.data[0] for t in start))
+            h, c, ctx, memory, keys = self._encode(src, src_len, False, None)
+        shared = (memory.data, keys.data, mask) if self.attention else ()
+        return DecodeState(np.arange(len(sources)), (h.data, c.data, ctx.data), shared)
 
     # -- decoder -----------------------------------------------------------
 
@@ -186,31 +179,31 @@ class LSTMSeq2Seq(Seq2Seq):
             ctx = self._attend(h, memory, keys, mask)
         return h, c, ctx
 
-    def decode_step_batch(self, states, prev_ids):
-        """Advance k hypotheses of one source by one position each, as the
-        rows of one step; returns (probs [k, V], new states)."""
+    def decode_step_batch(self, state: DecodeState, prev_ids):
+        """Advance every row of ``state`` by one position; returns (probs
+        [N, V], the stepped state)."""
         with no_grad():
-            h, c, ctx, memory, keys = (
-                None if getattr(states[0], f) is None
-                else Tensor(np.stack([getattr(s, f) for s in states]))
-                for f in ("h", "c", "ctx", "memory", "keys"))
-            h, c, ctx = self._step(np.asarray(prev_ids, dtype=np.intp), h, c, ctx,
-                                   memory, keys, None)
+            memory = keys = mask = None
+            if self.attention:
+                memory, keys, mask = state.shared
+                memory, keys = Tensor(memory[state.src]), Tensor(keys[state.src])
+                if mask is not None:
+                    mask = mask[state.src]
+            h, c, ctx = self._step(np.asarray(prev_ids, dtype=np.intp),
+                                   *(Tensor(a) for a in state.rows), memory, keys, mask)
             logits = affine(concat([h, ctx], axis=1), self.params["out.w"], self.params["out.b"])
             probs = softmax(logits).data
-        return probs, [LSTMState(h.data[i], c.data[i], ctx.data[i], s.memory, s.keys)
-                       for i, s in enumerate(states)]
+        return probs, replace(state, rows=(h.data, c.data, ctx.data), steps=state.steps + 1)
 
     # -- teacher forcing ---------------------------------------------------
 
-    def _teacher_forced(self, pairs, train: bool, rng):
+    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
         """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
         pairs, with 0/1 weights [B*T] marking real positions."""
-        src, src_len = _padded([s for s, _ in pairs])
+        src, src_len, mask = _padded_sources([s for s, _ in pairs])
         tgt, tgt_len = _padded([t for _, t in pairs])
         batch, width = tgt.shape
         h, c, ctx, memory, keys = self._encode(src, src_len, train, rng)
-        mask = _key_mask(src_len, src.shape[1])
         tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
         feats = []
         for prev in tgt_in.T:

@@ -3,30 +3,37 @@
 Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
 
 - ``params``: name -> Tensor, in a fixed creation order
-- ``encode(src_ids) -> state``
-- ``decode_step_batch(states, prev_ids) -> (probs ndarray [k, V], states)``
-  advances k hypotheses of one source as the rows of one step; greedy and
-  beam search run it, and ``decode_step(state, prev_id) -> (probs [V],
+- ``encode(sources) -> DecodeState``: one row per source id sequence,
+  ready to be fed the start id; the sources are right-padded into one
+  encoder pass and the padding is masked
+- ``decode_step_batch(state, prev_ids) -> (probs ndarray [N, V], state)``
+  advances all N rows of a state by one position, whatever source each
+  row decodes; greedy and beam search run it on every live hypothesis of
+  many sources at once, and ``decode_step(state, prev_id) -> (probs [V],
   state)`` is its one-row case
-- ``batch_loss(pairs, rng=None, train=True) -> scalar Tensor``: summed
-  negative log-likelihood of (src_ids, tgt_ids) pairs, right-padded into
-  one graph; training calls it once per batch
-- ``teacher_forced_logprobs(src_ids, tgt_ids, rng=None, train=False) ->
-  Tensor [len(tgt_ids)]``: log P(tgt_t | tgt_<t, src) at every position,
-  the one-pair case of that graph; forced scoring runs it, and ``loss``
-  (same arguments, ``train=True``) is its negated sum
+- ``teacher_forced_logprobs(pairs, rng=None, train=False) -> (Tensor
+  [B*T], weights [B*T])``: log P(tgt_t | tgt_<t, src) for (src_ids,
+  tgt_ids) pairs right-padded to T target positions, row-major, with 0/1
+  weights marking the real positions; forced scoring runs it, and
+  ``batch_loss(pairs, rng=None, train=True)`` is its weighted negated sum,
+  the loss training takes once per batch, and ``loss`` its one-pair case
 
-States are immutable, so search code can fork them freely.  Targets always
-end with the end-of-sequence id; the decoder is fed the start id plus the
-target shifted right.
+States are immutable, so search code can fork them freely: ``state.take``
+picks rows by parent index, repeats allowed, the way fairseq reorders its
+incremental state (Ott et al. 2019).  Targets always end with the
+end-of-sequence id; the decoder is fed the start id plus the target
+shifted right.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..corpus import PAD
 from ..ndiff import Tensor, gather, log_softmax, mul, sum_
+from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
@@ -53,37 +60,58 @@ def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
-def _key_mask(lengths: np.ndarray, width: int) -> np.ndarray | None:
-    """Additive [B, width] mask hiding padded positions (None if no padding)."""
-    if np.all(lengths == width):
-        return None
-    valid = np.arange(width)[None, :] < lengths[:, None]
-    return np.where(valid, 0.0, NEG_INF)
+def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Right-padded source ids [B, S], their lengths, and an additive [B, S]
+    mask hiding the padded positions (None if there is no padding)."""
+    src, src_len = _padded(sources)
+    if src_len.min() == 0:
+        raise ContractError("encode: empty source sequence")
+    if np.all(src_len == src.shape[1]):
+        return src, src_len, None
+    valid = np.arange(src.shape[1])[None, :] < src_len[:, None]
+    return src, src_len, np.where(valid, 0.0, NEG_INF)
+
+
+@dataclass(frozen=True)
+class DecodeState:
+    """Decoder state of N rows, each a hypothesis of one encoded source.
+
+    ``shared`` holds a model's per-source arrays (first axis: source),
+    which rows read through ``src`` [N], the source of each row, and no
+    step copies.  ``rows`` holds the per-row arrays (first axis: row).
+    ``steps`` counts the ids fed so far, the same for every row.
+    """
+
+    src: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    shared: tuple = ()
+    steps: int = 0
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def take(self, index) -> "DecodeState":
+        """The rows at ``index`` [M], in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        return replace(self, src=self.src[index], rows=tuple(r[index] for r in self.rows))
 
 
 class Seq2Seq:
     """The protocol, given a subclass's ``encode``, ``decode_step_batch`` and
-    ``_teacher_forced(pairs, train, rng)``; the latter returns log-probs
-    [B*T] of the right-padded targets and 0/1 weights [B*T] of real ones."""
-
-    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train: bool = False) -> Tensor:
-        """log P(tgt_t | tgt_<t, src) for every position of tgt_ids, which
-        must end in the end id."""
-        logprobs, _ = self._teacher_forced([(src_ids, tgt_ids)], train, rng)
-        return logprobs
+    ``teacher_forced_logprobs``."""
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every
         target ending in the end id, as one padded graph."""
-        return nll(*self._teacher_forced(pairs, train, rng))
+        return nll(*self.teacher_forced_logprobs(pairs, rng, train))
 
     def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
         """Negative log-likelihood of tgt_ids, summed over timesteps."""
-        return nll(self.teacher_forced_logprobs(src_ids, tgt_ids, rng, train))
+        return self.batch_loss([(src_ids, tgt_ids)], rng, train)
 
-    def decode_step(self, state, prev_id: int):
-        probs, states = self.decode_step_batch([state], [prev_id])
-        return probs[0], states[0]
+    def decode_step(self, state: DecodeState, prev_id: int):
+        probs, state = self.decode_step_batch(state, [prev_id])
+        return probs[0], state
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator) -> Seq2Seq:

@@ -11,17 +11,18 @@ ones.  ``teacher_forced_logprobs``, and with it ``loss``, is the one-pair
 case of that graph.
 
 Decoding is incremental, as in fairseq (Ott et al. 2019): ``encode``
-projects the encoder memory to every decoder layer's cross-attention keys
-and values once, and the decoder state caches each layer's
-self-attention keys and values, so a step runs the decoder over the
-newest position only.  ``decode_step_batch`` advances several hypotheses
-of one source as a single [k, D] pass; ``decode_step`` is its one-row case.
+runs many sources as one padded pass and projects the memory to every
+decoder layer's cross-attention keys and values once per source, and the
+decoder state caches each row's self-attention keys and values, so a step
+runs the decoder over the newest position only.  ``decode_step_batch``
+advances every hypothesis of every source as one row of a single [N, D]
+pass; ``decode_step`` is its one-row case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,9 +44,8 @@ from ..ndiff import (
     softmax,
     transpose,
 )
-from ..ndiff.tensor import ContractError
 from .config import ModelConfig
-from .model import NEG_INF, Seq2Seq, _key_mask, _padded, target_logprobs
+from .model import NEG_INF, DecodeState, Seq2Seq, _padded, _padded_sources, target_logprobs
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -62,22 +62,6 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 def causal_mask(length: int) -> np.ndarray:
     """[length, length] additive mask hiding positions after the query's."""
     return np.triu(np.full((length, length), NEG_INF), k=1)
-
-
-@dataclass(frozen=True)
-class TransformerState:
-    """Decoder state of one hypothesis.
-
-    ``cross`` holds every decoder layer's cross-attention (keys, values),
-    each [heads, S, d_head], computed once by ``encode``.  ``cache`` holds
-    every layer's self-attention (keys, values), each [heads, steps,
-    d_head], for the ``steps`` inputs fed so far (the first fed id is the
-    start symbol).
-    """
-
-    cross: tuple[tuple[np.ndarray, np.ndarray], ...]
-    cache: tuple[tuple[np.ndarray, np.ndarray], ...]
-    steps: int
 
 
 class TransformerSeq2Seq(Seq2Seq):
@@ -161,9 +145,13 @@ class TransformerSeq2Seq(Seq2Seq):
         x = add(x, Tensor(np.tile(pe, (batch, 1))))
         return dropout(x, cfg.dropout, train, rng)
 
-    def _encode(self, src: np.ndarray, mask: np.ndarray | None, train: bool, rng) -> Tensor:
-        """Encoder memory rows [B*S, D] for padded source ids [B, S]."""
+    def _encode(self, sources, train: bool, rng) -> tuple[Tensor, np.ndarray | None]:
+        """Encoder memory rows [B*S, D] for the right-padded sources, and
+        the key-padding mask [B, 1, 1, S] (None if there is no padding)."""
         cfg = self.config
+        src, _, mask = _padded_sources(sources)
+        if mask is not None:
+            mask = mask[:, None, None, :]  # broadcast over heads and queries
         batch = src.shape[0]
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
@@ -173,7 +161,7 @@ class TransformerSeq2Seq(Seq2Seq):
             x = add(x, dropout(a, cfg.dropout, train, rng))
             f = self._ffn(f"enc.{l}.ffn", self._ln(f"enc.{l}.ln2", x))
             x = add(x, dropout(f, cfg.dropout, train, rng))
-        return self._ln("enc.final_ln", x)
+        return self._ln("enc.final_ln", x), mask
 
     def _cross_kv(self, memory: Tensor, batch: int) -> list[tuple[Tensor, Tensor]]:
         """Every decoder layer's cross-attention (keys, values) over the memory."""
@@ -208,19 +196,13 @@ class TransformerSeq2Seq(Seq2Seq):
         x = self._ln("dec.final_ln", x)
         return affine(x, self.params["out.w"], self.params["out.b"])
 
-    def _teacher_forced(self, pairs, train: bool, rng):
+    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
         """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
         pairs, with 0/1 weights [B*T] marking real positions."""
-        src, src_len = _padded([s for s, _ in pairs])
-        if src_len.min() == 0:
-            raise ContractError("encode: empty source sequence")
+        memory, mask = self._encode([s for s, _ in pairs], train, rng)
         tgt, tgt_len = _padded([t for _, t in pairs])
         batch, width = tgt.shape
         tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
-        mask = _key_mask(src_len, src.shape[1])
-        if mask is not None:
-            mask = mask[:, None, None, :]  # broadcast over heads and queries
-        memory = self._encode(src, mask, train, rng)
         x = self._embed("emb.tgt", tgt_in, train, rng)
         causal = causal_mask(width)
         for l, cross in enumerate(self._cross_kv(memory, batch)):
@@ -230,35 +212,36 @@ class TransformerSeq2Seq(Seq2Seq):
 
     # -- decoding interface --------------------------------------------------
 
-    def encode(self, src_ids) -> TransformerState:
-        if len(src_ids) == 0:
-            raise ContractError("encode: empty source sequence")
+    def encode(self, sources) -> DecodeState:
+        """The decoder start of every source as the rows of one state.
+
+        Shared per source: every decoder layer's cross-attention keys and
+        values, each [sources, heads, S, d_head], then the padding mask
+        [sources, 1, 1, S] or None.  Per row: every layer's cached
+        self-attention keys and values, each [N, heads, steps, d_head].
+        """
         cfg = self.config
         with no_grad():
-            memory = self._encode(np.asarray([src_ids], dtype=np.intp), None, False, None)
-            cross = tuple((k.data[0], v.data[0]) for k, v in self._cross_kv(memory, 1))
-        empty = np.zeros((cfg.heads, 0, cfg.d_model // cfg.heads))
-        return TransformerState(cross, tuple((empty, empty) for _ in cross), 0)
+            memory, mask = self._encode(sources, False, None)
+            cross = [t.data for kv in self._cross_kv(memory, len(sources)) for t in kv]
+        empty = np.zeros((len(sources), cfg.heads, 0, cfg.d_model // cfg.heads))
+        return DecodeState(np.arange(len(sources)), (empty,) * len(cross), (*cross, mask))
 
-    def decode_step_batch(self, states, prev_ids):
-        """Advance k hypotheses of one source, all at the same step, by one
-        position each; returns (probs [k, V], new states)."""
-        steps = states[0].steps
-        if any(s.steps != steps for s in states):
-            raise ContractError("decode_step_batch: states are at different steps")
-        batch = len(states)
+    def decode_step_batch(self, state: DecodeState, prev_ids):
+        """Advance every row of ``state`` by one position; returns (probs
+        [N, V], the stepped state)."""
+        batch = len(state)
+        *cross, mask = state.shared
+        if mask is not None:
+            mask = mask[state.src]
         with no_grad():
             ids = np.asarray(prev_ids, dtype=np.intp).reshape(batch, 1)
-            x = self._embed("emb.tgt", ids, False, None, start=steps)
+            x = self._embed("emb.tgt", ids, False, None, start=state.steps)
             cache = []
             for l in range(self.config.dec_blocks):
-                cross = tuple(Tensor(np.stack([s.cross[l][i] for s in states])) for i in (0, 1))
-                past = tuple(np.stack([s.cache[l][i] for s in states]) for i in (0, 1))
-                x, (k, v) = self._dec_block(l, x, batch, cross, None, None, past, False, None)
-                cache.append((k.data, v.data))
+                kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
+                past = state.rows[2 * l:2 * l + 2]
+                x, (k, v) = self._dec_block(l, x, batch, kv, None, mask, past, False, None)
+                cache += [k.data, v.data]
             probs = softmax(self._logits(x)).data
-        new_states = [
-            TransformerState(s.cross, tuple((k[i], v[i]) for k, v in cache), steps + 1)
-            for i, s in enumerate(states)
-        ]
-        return probs, new_states
+        return probs, replace(state, rows=tuple(cache), steps=state.steps + 1)

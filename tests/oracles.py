@@ -21,36 +21,54 @@ from wugbench.ndiff import ContractError, Tensor, backward, no_grad
 # a model whose distribution is a hand-set lookup table
 
 
+class TableRows(tuple):
+    """A TableModel state: the tuple of ids fed to each row's decoder."""
+
+    def take(self, index):
+        return TableRows(self[int(i)] for i in index)
+
+
 class TableModel:
     """Sequence model defined by an explicit prefix -> distribution table.
 
     ``table`` maps the tuple of symbols generated so far to a probability
     vector over the vocabulary; missing prefixes fall back to uniform.
-    State is just the tuple of ids fed to the decoder.  Its teacher-forced
-    pass chains its own ``decode_step``, and ``decode_step_batch`` loops it.
+    A state row is just the tuple of ids fed to the decoder.  Its
+    teacher-forced pass chains its own ``decode_step`` pair by pair, and
+    ``decode_step_batch`` loops over rows.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray], vocab_size: int):
         self.table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
         self.vocab_size = vocab_size
 
-    def encode(self, src_ids):
-        return ()
+    def encode(self, sources):
+        return TableRows(() for _ in sources)
 
-    def decode_step(self, state, prev_id):
-        fed = tuple(state) + (int(prev_id),)
+    def _row_step(self, fed, prev_id):
+        fed = tuple(fed) + (int(prev_id),)
         generated = fed[1:]  # drop the start id
         probs = self.table.get(generated)
         if probs is None:
             probs = np.full(self.vocab_size, 1.0 / self.vocab_size)
         return probs.copy(), fed
 
-    def decode_step_batch(self, states, prev_ids):
-        rows = [self.decode_step(s, p) for s, p in zip(states, prev_ids)]
-        return np.stack([p for p, _ in rows]), [s for _, s in rows]
+    def decode_step_batch(self, state, prev_ids):
+        rows = [self._row_step(fed, p) for fed, p in zip(state, prev_ids)]
+        return np.stack([p for p, _ in rows]), TableRows(fed for _, fed in rows)
 
-    def teacher_forced_logprobs(self, src_ids, tgt_ids, rng=None, train=False):
-        return Tensor(chained_logprobs(self, src_ids, tgt_ids))
+    def decode_step(self, state, prev_id):
+        probs, state = self.decode_step_batch(state, [prev_id])
+        return probs[0], state
+
+    def teacher_forced_logprobs(self, pairs, rng=None, train=False):
+        width = max(len(tgt) for _, tgt in pairs)
+        out = np.zeros((len(pairs), width))
+        weights = np.zeros((len(pairs), width))
+        for i, (src, tgt) in enumerate(pairs):
+            out[i, :len(tgt)] = chained_logprobs(self, src, tgt)
+            weights[i, :len(tgt)] = 1.0
+        return Tensor(out.reshape(-1)), weights.reshape(-1)
 
 
 def random_table_model(rng: np.random.Generator, vocab_size: int,
@@ -83,7 +101,7 @@ def random_table_model(rng: np.random.Generator, vocab_size: int,
 def chained_logprobs(model, src_ids, tgt_ids) -> np.ndarray:
     """Per-step log-probabilities of a forced target via repeated decode_step."""
     with no_grad():
-        state = model.encode(src_ids)
+        state = model.encode([src_ids])
         out = np.zeros(len(tgt_ids))
         prev = BOS
         for t, sym in enumerate(tgt_ids):
@@ -96,7 +114,7 @@ def chained_logprobs(model, src_ids, tgt_ids) -> np.ndarray:
 
 def rescore_prefix(model, src_ids, prefix) -> float:
     """Log-probability of a symbol sequence by full from-scratch chaining."""
-    state = model.encode(src_ids)
+    state = model.encode([src_ids])
     prev = BOS
     total = 0.0
     for sym in prefix:
@@ -115,7 +133,7 @@ def enumeration_beam(model, src_ids, width: int, max_len: int):
     (-logprob, symbols) rule as the implementation.  Returns a list of
     (symbols, logprob, finished) triples, best first.
     """
-    probs0, _ = model.decode_step(model.encode(src_ids), BOS)
+    probs0, _ = model.decode_step(model.encode([src_ids]), BOS)
     vocab = len(probs0)
     live: list[tuple[int, ...]] = [()]
     finished: list[tuple[tuple[int, ...], float]] = []
@@ -145,7 +163,7 @@ def enumeration_beam(model, src_ids, width: int, max_len: int):
 
 def exhaustive_best(model, src_ids, max_len: int):
     """The true argmax finished sequence by enumerating everything."""
-    probs0, _ = model.decode_step(model.encode(src_ids), BOS)
+    probs0, _ = model.decode_step(model.encode([src_ids]), BOS)
     vocab = len(probs0)
     best: tuple[float, tuple[int, ...]] | None = None
 

@@ -235,7 +235,7 @@ def test_criterion2_beam_matches_enumeration(vocab, width):
         rng = np.random.default_rng(2000 + 10 * trial + vocab)
         model = random_table_model(rng, vocab_size=vocab, depth=4,
                                    eos_boost=float(rng.uniform(0.5, 2.0)))
-        got = beam_search(model, [3, 3], width, max_len=5)
+        got = beam_search(model, [[3, 3]], width, max_len=5)[0].hyps
         want = enumeration_beam(model, [3, 3], width, max_len=5)
         assert [(h.symbols, h.finished) for h in got] == [
             (symbols, finished) for symbols, _, finished in want]
@@ -249,8 +249,8 @@ def test_criterion2_beam_width_one_is_greedy_bit_exact():
         rng = np.random.default_rng(2100 + trial)
         model = random_table_model(rng, vocab_size=4, depth=4,
                                    eos_boost=float(rng.uniform(0.5, 3.0)))
-        beam = beam_search(model, [3], width=1, max_len=5)[0]
-        greedy = greedy_decode(model, [3], max_len=5)
+        beam = beam_search(model, [[3]], width=1, max_len=5)[0].hyps[0]
+        greedy = greedy_decode(model, [[3]], max_len=5)[0]
         assert beam.symbols == greedy.symbols
         assert beam.finished == greedy.finished
         assert beam.logprob == greedy.logprob  # bit-exact, not approximate
@@ -271,7 +271,7 @@ def test_criterion2_transformer_beam_matches_enumeration(vocab, width):
     for trial in range(4):
         model = _tiny_transformer(2200 + 10 * trial + vocab, vocab)
         src = [3, vocab - 1, 3]
-        got = beam_search(model, src, width, max_len=4)
+        got = beam_search(model, [src], width, max_len=4)[0].hyps
         want = enumeration_beam(model, src, width, max_len=4)
         assert [(h.symbols, h.finished) for h in got] == [
             (symbols, finished) for symbols, _, finished in want]
@@ -284,8 +284,8 @@ def test_criterion2_transformer_beam_width_one_is_greedy_bit_exact():
     for trial in range(10):
         model = _tiny_transformer(2300 + trial, 5)
         src = [3, 4, 3, 4][:2 + trial % 3]
-        beam = beam_search(model, src, width=1, max_len=6)[0]
-        greedy = greedy_decode(model, src, max_len=6)
+        beam = beam_search(model, [src], width=1, max_len=6)[0].hyps[0]
+        greedy = greedy_decode(model, [src], max_len=6)[0]
         assert beam.symbols == greedy.symbols
         assert beam.finished == greedy.finished
         assert beam.logprob == greedy.logprob  # bit-exact, not approximate
@@ -343,7 +343,7 @@ def test_criterion3_force_score_equals_chained_steps():
         for _ in range(TRIALS):
             src = [int(v) for v in rng.integers(3, 10, size=rng.integers(2, 7))]
             tgt = [int(v) for v in rng.integers(3, 10, size=rng.integers(1, 6))] + [cp.EOS]
-            score = force_score(model, src, tgt)
+            score = force_score(model, [(src, tgt)])[0]
             chained = chained_logprobs(model, src, tgt)
             assert abs(score.raw_logprob - chained.sum()) < 1e-9, label
             np.testing.assert_allclose(score.step_logprobs, chained, atol=1e-9)

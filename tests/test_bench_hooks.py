@@ -106,16 +106,18 @@ def test_stage_spans_record_each_unit(tracer, tmp_path, monkeypatch):
 
 
 def test_full_trace_records_loss_and_force_spans(tracer, tmp_path, monkeypatch):
-    # the per-layer loss and forced-scoring metrics read these spans; a
-    # renamed model method or runner name would leave them silently empty
+    # the per-layer loss, decoding and forced-scoring metrics read these
+    # spans; a renamed model method or runner name would leave them silently
+    # empty, and a beam result without .finished would crash the tracer
     _undo_on_teardown(monkeypatch, tracer)
     spans = tracer.install(tmp_path / "trace", full=True).spans
     architectures = ("unilstm_attn", "transformer")
     _tiny_run(tmp_path, architectures)
     recorded = {(s["name"], s["arch"]) for s in spans}
     for arch in architectures:
-        assert ("seq2seq.loss", arch) in recorded, arch
-        assert ("decode.force", arch) in recorded, arch
+        for name in ("seq2seq.loss", "decode.greedy", "decode.beam", "decode.force"):
+            assert (name, arch) in recorded, (name, arch)
+    assert all("unfinished" in s for s in spans if s["name"] == "decode.beam")
     # width-2 beams step both hypotheses of an LSTM in one call
     counts = [s["steps"]["unilstm_attn"] for s in spans
               if "unilstm_attn" in s.get("steps", {})]

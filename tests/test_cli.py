@@ -104,6 +104,16 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(fractional)]) == 1
     assert "error: epochs takes integers" in capsys.readouterr().err
 
+    # a zero override reaches config validation instead of falling back to the file's value
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"), "dataset": str(tmp_path / "en.tsv"),
+        "architectures": ["unilstm_noattn"], "seeds": [1], "epochs": 1,
+    }), encoding="utf-8")
+    for flag, key in (("--epochs", "epochs"), ("--beam-width", "beam_width")):
+        assert main(["train", "--config", str(good), flag, "0"]) == 1
+        assert f"error: {key} takes integers >= 1, got 0" in capsys.readouterr().err
+
     # so is a value the model refuses, even for an architecture that would
     # train after another unit
     bad_heads = tmp_path / "bad_heads.json"

@@ -15,6 +15,7 @@ from oracles import (
 )
 from wugbench.corpus import EOS
 from wugbench.decode import (
+    CHUNK,
     ForcedScore,
     beam_search,
     default_max_len,
@@ -22,7 +23,7 @@ from wugbench.decode import (
     greedy_decode,
     sample_decode,
 )
-from wugbench.ndiff import INIT_STREAM, seeded_rng
+from wugbench.ndiff import INIT_STREAM, Adam, backward, seeded_rng
 from wugbench.ndiff.tensor import ContractError
 from wugbench.seq2seq import (
     ARCHITECTURES,
@@ -49,7 +50,7 @@ def test_greedy_follows_argmax():
         },
         vocab_size=5,
     )
-    hyp = greedy_decode(model, SRC)
+    hyp = greedy_decode(model, [SRC])[0]
     assert hyp.symbols == (3, 4)
     assert hyp.finished
     assert hyp.logprob == pytest.approx(math.log(0.7) + math.log(0.6) + math.log(0.9))
@@ -57,7 +58,7 @@ def test_greedy_follows_argmax():
 
 def test_greedy_hits_length_cap():
     model = TableModel({}, vocab_size=4)  # uniform forever
-    hyp = greedy_decode(model, SRC, max_len=3)
+    hyp = greedy_decode(model, [SRC], max_len=3)[0]
     assert not hyp.finished
     assert len(hyp.symbols) == 3
     # uniform argmax tie breaks to the lowest id, which is pad here
@@ -66,7 +67,7 @@ def test_greedy_hits_length_cap():
 
 def test_greedy_rejects_bad_max_len():
     with pytest.raises(ContractError):
-        greedy_decode(TableModel({}, 4), SRC, max_len=0)
+        greedy_decode(TableModel({}, 4), [SRC], max_len=0)
 
 
 def test_default_max_len_tracks_source():
@@ -82,7 +83,7 @@ def test_default_max_len_tracks_source():
 def test_beam_matches_enumeration(width, trial):
     rng = np.random.default_rng(100 + trial)
     model = random_table_model(rng, vocab_size=5, depth=3)
-    got = beam_search(model, SRC, width, max_len=4)
+    got = beam_search(model, [SRC], width, max_len=4)[0].hyps
     want = enumeration_beam(model, SRC, width, max_len=4)
     assert len(got) == len(want)
     for hyp, (symbols, logprob, finished) in zip(got, want):
@@ -95,8 +96,8 @@ def test_beam_matches_enumeration(width, trial):
 def test_beam_width_one_is_greedy(trial):
     rng = np.random.default_rng(200 + trial)
     model = random_table_model(rng, vocab_size=5, depth=4, eos_boost=2.0)
-    beam = beam_search(model, SRC, width=1, max_len=5)
-    greedy = greedy_decode(model, SRC, max_len=5)
+    beam = beam_search(model, [SRC], width=1, max_len=5)[0].hyps
+    greedy = greedy_decode(model, [SRC], max_len=5)[0]
     assert len(beam) == 1
     assert beam[0].symbols == greedy.symbols
     assert beam[0].finished == greedy.finished
@@ -109,7 +110,7 @@ def test_wide_beam_finds_global_optimum(trial):
     vocab, max_len = 4, 3
     model = random_table_model(rng, vocab_size=vocab, depth=max_len)
     # width >= vocab^max_len means nothing can fall off the beam
-    best = beam_search(model, SRC, width=vocab ** max_len, max_len=max_len)[0]
+    best = beam_search(model, [SRC], width=vocab ** max_len, max_len=max_len)[0].hyps[0]
     want_symbols, want_logprob = exhaustive_best(model, SRC, max_len)
     assert best.symbols == want_symbols
     assert best.logprob == pytest.approx(want_logprob, abs=1e-12)
@@ -125,9 +126,31 @@ def test_beam_tie_break_prefers_lower_symbols():
         },
         vocab_size=5,
     )
-    hyps = beam_search(model, SRC, width=2, max_len=3)
+    hyps = beam_search(model, [SRC], width=2, max_len=3)[0].hyps
     assert [h.symbols for h in hyps] == [(3,), (4,)]
     assert hyps[0].logprob == pytest.approx(hyps[1].logprob)
+
+
+def test_beam_tie_break_across_parents():
+    # (4,) outscores (3,), yet (3, 5) and (4, 5) tie exactly for the last
+    # slot: log .25 + log .5 == log .5 + log .25.  The tie goes to the lower
+    # symbols, which needs each source's live hypotheses kept in symbol
+    # order rather than score order, also inside a batch
+    model = TableModel(
+        {
+            (): np.array([0.0, 0.0, 0.2, 0.25, 0.5, 0.05]),
+            (3,): np.array([0.0, 0.0, 0.1, 0.2, 0.2, 0.5]),
+            (4,): np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.25]),
+            (3, 5): np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+            (4, 4): np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+            (4, 5): np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+        },
+        vocab_size=6,
+    )
+    want = enumeration_beam(model, SRC, width=2, max_len=3)
+    assert [w[0] for w in want] == [(4, 4), (3, 5)]
+    for beam in beam_search(model, [SRC, SRC, [3]], width=2, max_len=3):
+        assert [(h.symbols, h.finished) for h in beam.hyps] == [(w[0], w[2]) for w in want]
 
 
 def test_beam_unfinished_fallback_is_flagged():
@@ -135,7 +158,9 @@ def test_beam_unfinished_fallback_is_flagged():
     # depth-1 table that never emits the end id
     never_end = {(): np.array([0.0, 0.0, 0.0, 1.0])}
     model = TableModel(never_end, vocab_size=4)
-    hyps = beam_search(model, SRC, width=2, max_len=2)
+    (beam,) = beam_search(model, [SRC], width=2, max_len=2)
+    hyps = beam.hyps
+    assert not beam.finished
     assert hyps and all(not h.finished for h in hyps)
     assert all(len(h.symbols) == 2 for h in hyps)
 
@@ -150,7 +175,7 @@ def test_beam_finished_consume_slots():
         },
         vocab_size=5,
     )
-    hyps = beam_search(model, SRC, width=2, max_len=3)
+    hyps = beam_search(model, [SRC], width=2, max_len=3)[0].hyps
     want = enumeration_beam(model, SRC, width=2, max_len=3)
     assert [h.symbols for h in hyps] == [w[0] for w in want]
     # the empty string (immediate end) wins; (4,) was crowded out at depth 1
@@ -161,15 +186,15 @@ def test_beam_finished_consume_slots():
 def test_beam_rejects_bad_arguments():
     model = TableModel({}, vocab_size=4)
     with pytest.raises(ContractError):
-        beam_search(model, SRC, width=0)
+        beam_search(model, [SRC], width=0)
     with pytest.raises(ContractError):
-        beam_search(model, SRC, width=2, max_len=0)
+        beam_search(model, [SRC], width=2, max_len=0)
 
 
 def test_beam_results_sorted_by_logprob():
     rng = np.random.default_rng(77)
     model = random_table_model(rng, vocab_size=5, depth=3, eos_boost=3.0)
-    hyps = beam_search(model, SRC, width=4, max_len=4)
+    hyps = beam_search(model, [SRC], width=4, max_len=4)[0].hyps
     lps = [h.logprob for h in hyps]
     assert lps == sorted(lps, reverse=True)
 
@@ -220,7 +245,7 @@ def test_force_score_normalization():
         },
         vocab_size=5,
     )
-    score = force_score(model, SRC, [3, 4, EOS])
+    score = force_score(model, [(SRC, [3, 4, EOS])])[0]
     raw = math.log(0.5) + math.log(0.5) + math.log(0.25)
     assert isinstance(score, ForcedScore)
     assert score.raw_logprob == pytest.approx(raw, abs=1e-12)
@@ -233,7 +258,7 @@ def test_force_score_normalization():
 
 def test_force_score_zero_probability_candidate():
     model = TableModel({(): np.array([0.0, 0.0, 0.5, 0.5, 0.0])}, vocab_size=5)
-    score = force_score(model, SRC, [4, EOS])  # first step has probability 0
+    score = force_score(model, [(SRC, [4, EOS])])[0]  # first step has probability 0
     assert score.raw_logprob == -math.inf
     assert score.normalized_prob == 0.0
 
@@ -241,9 +266,9 @@ def test_force_score_zero_probability_candidate():
 def test_force_score_requires_terminated_target():
     model = TableModel({}, vocab_size=5)
     with pytest.raises(ContractError):
-        force_score(model, SRC, [3, 4])
+        force_score(model, [(SRC, [3, 4])])
     with pytest.raises(ContractError):
-        force_score(model, SRC, [])
+        force_score(model, [(SRC, [])])
 
 
 def test_chained_logprobs_match_rescoring():
@@ -265,7 +290,69 @@ def test_force_score_runs_only_the_teacher_forced_pass(monkeypatch):
     for arch in ARCHITECTURES:
         model = build_model(ModelConfig(arch=arch, vocab_size=8, **tiny),
                             seeded_rng(1, INIT_STREAM))
-        score = force_score(model, SRC, [5, 6, EOS])
+        score = force_score(model, [(SRC, [5, 6, EOS])])[0]
         assert len(score.step_logprobs) == 3, arch
         loss = model.loss(SRC, [5, 6, EOS], train=False).item()
         assert score.raw_logprob == pytest.approx(-loss, abs=1e-12), arch
+
+
+# ---------------------------------------------------------------------------
+# ragged batches: every row of a batch equals its single-source run
+
+SMALL = dict(emb_dim=6, hidden_dim=6, attn_dim=6, enc_layers=1, d_model=8,
+             ffn_dim=16, heads=2, enc_blocks=1, dec_blocks=1, dropout=0.0)
+# lengths 1-7 in turn, more sources than one chunk holds
+RAGGED = [[int(v) for v in np.random.default_rng(0).integers(3, 8, size=1 + i % 7)]
+          for i in range(2 * CHUNK + 5)]
+
+
+@pytest.fixture(scope="module", params=ARCHITECTURES)
+def copy_model(request):
+    """A small model trained for a few steps to copy its source.  Half
+    trained, its rows finish at many different steps and some run to their
+    source's length cap, so rows leave the batch at different times."""
+    model = build_model(ModelConfig(arch=request.param, vocab_size=8, **SMALL),
+                        seeded_rng(1, INIT_STREAM))
+    optim = Adam(model.params, lr=0.05)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        srcs = [[int(v) for v in rng.integers(3, 8, size=rng.integers(1, 8))] for _ in range(8)]
+        optim.zero_grad()
+        backward(model.batch_loss([(src, src + [EOS]) for src in srcs]))
+        optim.step()
+    return model
+
+
+def test_ragged_batch_rows_equal_single_source_runs(copy_model):
+    greedy = greedy_decode(copy_model, RAGGED)
+    beams = beam_search(copy_model, RAGGED, width=3)
+    assert len(greedy) == len(beams) == len(RAGGED) > CHUNK
+    # the steps at which rows leave the batch, by the end id or the length cap
+    assert len({len(h.symbols) + h.finished for h in greedy}) >= 3
+    assert any(h.finished for h in greedy)
+    for src, hyp, beam in zip(RAGGED, greedy, beams):
+        (alone,) = greedy_decode(copy_model, [src])
+        assert (hyp.symbols, hyp.finished) == (alone.symbols, alone.finished)
+        assert abs(hyp.logprob - alone.logprob) < 1e-9
+        (alone,) = beam_search(copy_model, [src], width=3)
+        assert beam.finished == alone.finished
+        assert [(h.symbols, h.finished) for h in beam.hyps] == [
+            (h.symbols, h.finished) for h in alone.hyps]
+        for got, want in zip(beam.hyps, alone.hyps):
+            assert abs(got.logprob - want.logprob) < 1e-9
+
+    rng = np.random.default_rng(4)
+    pairs = [(src, [int(v) for v in rng.integers(3, 8, size=rng.integers(0, 8))] + [EOS])
+             for src in RAGGED]
+    for pair, score in zip(pairs, force_score(copy_model, pairs)):
+        (alone,) = force_score(copy_model, [pair])
+        assert len(score.step_logprobs) == len(pair[1])
+        assert abs(score.raw_logprob - alone.raw_logprob) < 1e-9
+        np.testing.assert_allclose(score.step_logprobs, alone.step_logprobs, rtol=0, atol=1e-9)
+
+
+def test_width_one_beam_is_greedy_inside_a_batch(copy_model):
+    beams = beam_search(copy_model, RAGGED, width=1)
+    assert all(len(beam.hyps) == 1 for beam in beams)
+    # bit-exact, not approximate
+    assert [beam.hyps[0] for beam in beams] == greedy_decode(copy_model, RAGGED)

@@ -145,6 +145,7 @@ def test_config_from_dict_rejects_unknown_keys():
     ("clip_norm", -5.0), ("sample_productions", -1),
     ("epochs", 2.5), ("epochs", True), ("batch_size", "8"), ("beam_width", 3.0),
     ("split_seed", 0.5), ("sample_productions", 1.5), ("seeds", [1, 2.5]), ("seeds", [True]),
+    ("lr", True), ("clip_norm", True),
 ])
 def test_config_from_dict_rejects_bad_training_values(key, value):
     with pytest.raises(RunnerError, match=key):

@@ -127,7 +127,7 @@ def test_relative_parameter_ordering(vocab):
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_decode_step_returns_distribution(arch):
     model = tiny_model(arch)
-    state = model.encode([3, 4, 5])
+    state = model.encode([[3, 4, 5]])
     probs, state = model.decode_step(state, 1)
     assert probs.shape == (8,)
     assert np.all(probs >= 0)
@@ -143,7 +143,7 @@ def test_loss_equals_chained_step_nll(arch):
     tgt = [4, 3, 7, 2]  # ends with the end-of-sequence id
     loss = model.loss(src, tgt, train=False).item()
 
-    state = model.encode(src)
+    state = model.encode([src])
     prev = 1
     total = 0.0
     for sym in tgt:
@@ -157,9 +157,11 @@ def test_transformer_forced_logprobs_match_steps():
     model = tiny_model("transformer", seed=3)
     src = [3, 4, 5]
     tgt = [5, 6, 2]
-    lps = model.teacher_forced_logprobs(src, tgt).data
+    lps, weights = model.teacher_forced_logprobs([(src, tgt)])
+    lps = lps.data
     assert lps.shape == (3,)
-    state = model.encode(src)
+    np.testing.assert_array_equal(weights, 1.0)
+    state = model.encode([src])
     prev = 1
     for i, sym in enumerate(tgt):
         probs, state = model.decode_step(state, prev)
@@ -211,36 +213,45 @@ def test_transformer_checkpoint_size(tmp_path):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_batched_step_matches_single_steps(arch):
+    # rows of sources of different lengths, so the encoder and the
+    # cross-attention meet padding; the rows are reordered with repeats,
+    # as beam search moves hypotheses by parent index
     model = tiny_model(arch, seed=8)
-    _, after_start = model.decode_step(model.encode([3, 4, 5]), 1)
-    # three hypotheses with different prefixes
-    states = [model.decode_step(after_start, sym)[1] for sym in (3, 4, 5)]
-    prevs = [6, 3, 7]
-    probs, stepped = model.decode_step_batch(states, prevs)
-    assert probs.shape == (3, 8)
-    for i, (state, prev) in enumerate(zip(states, prevs)):
-        single, single_state = model.decode_step(state, prev)
-        np.testing.assert_allclose(probs[i], single, rtol=0, atol=1e-12)
-        # the stepped states carry on exactly like singly stepped ones
-        np.testing.assert_allclose(model.decode_step(stepped[i], 4)[0],
-                                   model.decode_step(single_state, 4)[0], rtol=0, atol=1e-12)
+    sources = [[3, 4, 5], [6], [4, 3, 7, 5, 6]]
+    _, started = model.decode_step_batch(model.encode(sources), [1, 1, 1])
+    parents = [2, 0, 0, 1, 2]
+    _, state = model.decode_step_batch(started.take(parents), [3, 4, 5, 6, 7])
+    assert len(state) == 5
+    prevs = [6, 3, 7, 4, 5]
+    probs, stepped = model.decode_step_batch(state, prevs)
+    assert probs.shape == (5, 8)
+    for i, (parent, prev) in enumerate(zip(parents, prevs)):
+        # the same row decoded alone, from its own one-source encoding
+        single = model.encode([sources[parent]])
+        for fed in (1, [3, 4, 5, 6, 7][i]):
+            _, single = model.decode_step(single, fed)
+        single_probs, single = model.decode_step(single, prev)
+        np.testing.assert_allclose(probs[i], single_probs, rtol=0, atol=1e-12)
+        # the stepped rows carry on exactly like singly stepped ones
+        np.testing.assert_allclose(model.decode_step(stepped.take([i]), 4)[0],
+                                   model.decode_step(single, 4)[0], rtol=0, atol=1e-12)
 
 
 def test_transformer_decoder_is_causal():
     # the forced score of a shared prefix must not depend on the suffix
     model = tiny_model("transformer", seed=9)
     src = [3, 4]
-    a = model.teacher_forced_logprobs(src, [5, 6, 2]).data
-    b = model.teacher_forced_logprobs(src, [5, 7, 3]).data
+    a = model.teacher_forced_logprobs([(src, [5, 6, 2])])[0].data
+    b = model.teacher_forced_logprobs([(src, [5, 7, 3])])[0].data
     np.testing.assert_allclose(a[:1], b[:1], atol=1e-12)
-    c = model.teacher_forced_logprobs(src, [5, 6, 3]).data
+    c = model.teacher_forced_logprobs([(src, [5, 6, 3])])[0].data
     np.testing.assert_allclose(a[:2], c[:2], atol=1e-12)
 
 
 def test_decode_step_is_pure():
     # stepping twice from the same state must give identical distributions
     model = tiny_model("bilstm_attn")
-    state = model.encode([3, 4])
+    state = model.encode([[3, 4]])
     p1, _ = model.decode_step(state, 1)
     p2, _ = model.decode_step(state, 1)
     np.testing.assert_array_equal(p1, p2)
