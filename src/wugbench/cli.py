@@ -74,7 +74,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         blob = json.load(fh)
     if args.arch:
         blob["architectures"] = [args.arch]
-    if args.seeds:
+    if args.seeds is not None:
         blob["seeds"] = args.seeds
     if args.epochs is not None:
         blob["epochs"] = args.epochs

@@ -1,17 +1,18 @@
 """Decoding: greedy, beam search, ancestral sampling, forced scoring.
 
 Everything here drives a model through the one protocol of
-``seq2seq.model``.  Greedy and beam search take a list of sources and work
-through it in chunks of ``CHUNK``: each chunk is encoded as one padded
-pass, and every live hypothesis of every source in it advances as one row
-of a single ``decode_step_batch`` call, as in fairseq's batched generator
-(Ott et al. 2019).  Ranking, tie-breaks and the length cap stay per
-source, and a source's rows leave the batch once it is done.  Forced
+``seq2seq.model``.  Greedy, sampling and beam search take a list of
+sources and work through it in chunks of ``CHUNK``: each chunk is encoded
+as one padded pass, and every live hypothesis of every source in it
+advances as one row of a single ``decode_step_batch`` call, as in
+fairseq's batched generator (Ott et al. 2019).  Greedy and sampling share
+one loop of independent rows, one per (source, draw), that differ only in
+how a row picks its next symbol.  Ranking, tie-breaks and the length cap
+stay per source, and a row leaves the batch once it is done.  Forced
 scoring runs each chunk of (source, target) pairs through one padded
-``teacher_forced_logprobs`` pass, the pass training runs.  Sampling
-steps one source with ``decode_step``.  Symbol sequences in hypotheses
-never include the start id; the end id is consumed (its probability
-counts toward the score) but not stored.
+``teacher_forced_logprobs`` pass, the pass training runs.  Symbol
+sequences in hypotheses never include the start id; the end id is
+consumed (its probability counts toward the score) but not stored.
 """
 
 from __future__ import annotations
@@ -70,21 +71,18 @@ def default_max_len(src_ids: Sequence[int]) -> int:
     return len(src_ids) + 10
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
-
-
 def _chunks(items: list) -> list[list]:
     return [items[start:start + CHUNK] for start in range(0, len(items), CHUNK)]
 
 
 def _extend(model, logprobs, state, prev_ids):
-    """One decoding step for rows fed ``prev_ids``: returns the scores of
-    every continuation, logprob + log P(sym) as [N, V], and the stepped
-    state.  Greedy decoding steps what beam search steps."""
+    """One decoding step for rows fed ``prev_ids``: returns the model's
+    probabilities [N, V], the scores of every continuation, logprob +
+    log P(sym) as [N, V], and the stepped state.  Every decode loop steps
+    through here, so greedy scores exactly what beam search scores."""
     probs, state = model.decode_step_batch(state, prev_ids)
     with np.errstate(divide="ignore"):
-        return np.asarray(logprobs)[:, None] + np.log(probs), state
+        return probs, np.asarray(logprobs)[:, None] + np.log(probs), state
 
 
 def _decode(run, model, sources, max_len: int | None, caller: str, *args) -> list:
@@ -102,26 +100,51 @@ def _decode(run, model, sources, max_len: int | None, caller: str, *args) -> lis
 def greedy_decode(model, sources, max_len: int | None = None) -> list[Hypothesis]:
     """Follow the argmax at every step (ties break to the lowest id); one
     hypothesis per source."""
-    return _decode(_greedy_chunk, model, sources, max_len, "greedy_decode")
+    return _decode(_rows_chunk, model, sources, max_len, "greedy_decode",
+                   lambda probs, scores: scores.argmax(axis=1))
 
 
-def _greedy_chunk(model, sources, max_lens) -> list[Hypothesis]:
-    state = model.encode(sources)
-    rows = list(range(len(sources)))  # the source of each row
-    symbols: list[list[int]] = [[] for _ in sources]
-    logprobs, prev = np.zeros(len(sources)), [BOS] * len(sources)
-    done: list[Hypothesis | None] = [None] * len(sources)
+def sample_decode(model, sources, draws: int, rng: np.random.Generator,
+                  max_len: int | None = None) -> list[list[Hypothesis]]:
+    """Draw ``draws`` sequences per source from the model distribution.
+
+    Each live row takes one uniform from ``rng`` per step, in row order,
+    and maps it through its distribution's CDF, so a zero-probability
+    symbol is never drawn and results depend only on the ``rng`` state.
+    """
+    if draws < 1:
+        raise ContractError(f"sample_decode: draws must be >= 1, got {draws}")
+
+    def pick(probs, scores):
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]  # the last entry is exactly 1, above every uniform
+        return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+
+    hyps = _decode(_rows_chunk, model, sources, max_len, "sample_decode", pick, draws)
+    return [hyps[first:first + draws] for first in range(0, len(hyps), draws)]
+
+
+def _rows_chunk(model, sources, max_lens, pick, draws: int = 1) -> list[Hypothesis]:
+    """``draws`` independent rows per source, source-major.  Each step
+    ``pick(probs, scores)`` gives every live row its next symbol; a row is
+    done when it picks the end id or reaches its source's cap."""
+    state = model.encode(sources).take(np.repeat(np.arange(len(sources)), draws))
+    caps = np.repeat(max_lens, draws)
+    rows = list(range(len(caps)))  # the hypothesis of each row
+    symbols: list[list[int]] = [[] for _ in rows]
+    logprobs, prev = np.zeros(len(rows)), [BOS] * len(rows)
+    done: list[Hypothesis | None] = [None] * len(rows)
     for step in range(max(max_lens)):
-        scores, state = _extend(model, logprobs, state, prev)
-        prev = scores.argmax(axis=1)
+        probs, scores, state = _extend(model, logprobs, state, prev)
+        prev = pick(probs, scores)
         logprobs = scores[np.arange(len(rows)), prev]
         keep = []
-        for row, s in enumerate(rows):
+        for row, h in enumerate(rows):
             ended = bool(prev[row] == EOS)
             if not ended:
-                symbols[s].append(int(prev[row]))
-            if ended or step + 1 == max_lens[s]:
-                done[s] = Hypothesis(tuple(symbols[s]), float(logprobs[row]), ended)
+                symbols[h].append(int(prev[row]))
+            if ended or step + 1 == caps[h]:
+                done[h] = Hypothesis(tuple(symbols[h]), float(logprobs[row]), ended)
             else:
                 keep.append(row)
         if not keep:
@@ -129,28 +152,6 @@ def _greedy_chunk(model, sources, max_lens) -> list[Hypothesis]:
         rows, logprobs, prev = [rows[row] for row in keep], logprobs[keep], prev[keep]
         state = state.take(keep)
     return done
-
-
-def sample_decode(model, src_ids, rng: np.random.Generator,
-                  max_len: int | None = None) -> Hypothesis:
-    """Draw one sequence from the model distribution."""
-    if max_len is None:
-        max_len = default_max_len(src_ids)
-    with no_grad():
-        state = model.encode([src_ids])
-        symbols: list[int] = []
-        logprob = 0.0
-        prev = BOS
-        for _ in range(max_len):
-            probs, state = model.decode_step(state, prev)
-            probs = probs / probs.sum()
-            sym = int(rng.choice(len(probs), p=probs))
-            logprob += _log(float(probs[sym]))
-            if sym == EOS:
-                return Hypothesis(tuple(symbols), logprob, True)
-            symbols.append(sym)
-            prev = sym
-    return Hypothesis(tuple(symbols), logprob, False)
 
 
 def beam_search(model, sources, width: int, max_len: int | None = None) -> list[Beam]:
@@ -177,8 +178,8 @@ def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
     stepping = list(range(len(sources)))  # sources with rows in the state, in row order
     for step in range(max(max_lens)):
         hyps = [h for s in stepping for h in live[s]]
-        scores, state = _extend(model, [lp for _, lp in hyps], state,
-                                [sym[-1] if sym else BOS for sym, _ in hyps])
+        _, scores, state = _extend(model, [lp for _, lp in hyps], state,
+                                   [sym[-1] if sym else BOS for sym, _ in hyps])
         parents, still, first = [], [], 0
         for s in stepping:
             block = scores[first:first + len(live[s])]

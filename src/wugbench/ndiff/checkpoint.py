@@ -1,8 +1,8 @@
 """Model checkpoints as ``.npz`` archives: bit-exact, byte-deterministic, atomic.
 
 An uncompressed zip of one ``<name>.npy`` member (NEP 1) per parameter, sorted,
-then ``meta.json``, every member stamped 1980-01-01.  A save fsyncs a hidden temp file,
-``os.replace``s it and fsyncs the directory: a failed save leaves the old checkpoint whole.
+then ``meta.json``, every member stamped 1980-01-01.  A save goes through ``atomic_write``,
+which the runner's report writers share: a failed save leaves the old checkpoint whole.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -25,17 +26,16 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match expectations."""
 
 
-def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None) -> None:
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_args):
+    """Open a hidden temp file beside ``path`` for writing.  On a clean exit
+    it is fsynced, ``os.replace``d onto ``path`` and the directory fsynced;
+    on an exception it is removed.  Either way ``path`` is never partly written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as out:
-            with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as zf:
-                for name, p in sorted(params.items()):
-                    with zf.open(zipfile.ZipInfo(f"{name}.npy", _EPOCH), "w") as fh:
-                        np.lib.format.write_array(fh, p.data, allow_pickle=False)
-                zf.writestr(zipfile.ZipInfo(_META, _EPOCH),
-                            json.dumps(dict(meta or {}), sort_keys=True))
+        with open(tmp, mode, **open_args) as out:
+            yield out
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, path)
@@ -47,6 +47,16 @@ def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None) -> None:
+    with atomic_write(path) as out:
+        with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as zf:
+            for name, p in sorted(params.items()):
+                with zf.open(zipfile.ZipInfo(f"{name}.npy", _EPOCH), "w") as fh:
+                    np.lib.format.write_array(fh, p.data, allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(_META, _EPOCH),
+                        json.dumps(dict(meta or {}), sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -48,6 +48,7 @@ from .ndiff import (
     save_checkpoint,
     seeded_rng,
 )
+from .ndiff.checkpoint import atomic_write
 from .seq2seq import ARCHITECTURES, ModelConfig, build_model, count_parameters
 from .wugeval import (
     CorrelationResult,
@@ -393,9 +394,8 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
     } for (item, cand), score in zip(candidates, scores)]
     sources = [alphabet.encode_source(item.candidates[0].tags, item.lemma) for item in items]
     if config.sample_productions:
-        sample_rng = seeded_rng(seed, SAMPLE_STREAM)
-        produced = [[alphabet.decode(sample_decode(model, src, sample_rng).symbols)
-                     for _ in range(config.sample_productions)] for src in sources]
+        produced = [[alphabet.decode(h.symbols) for h in hyps] for hyps in sample_decode(
+            model, sources, config.sample_productions, seeded_rng(seed, SAMPLE_STREAM))]
     else:
         produced = [[alphabet.decode(beam.hyps[0].symbols)]
                     for beam in beam_search(model, sources, config.beam_width)]
@@ -524,7 +524,7 @@ def _fmt(value) -> str:
 def write_csv(path, header: Sequence[str], rows: Iterable[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for r in rows:
@@ -699,7 +699,8 @@ def _class_stats(rows: Iterable[dict], col: str, by) -> dict[str, dict]:
 def _write_summary(path, summary: dict) -> None:
     # summary numbers pass through _finite or _corr_to_json, so none is NaN
     blob = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(blob + "\n", encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(blob + "\n")
 
 
 # ---------------------------------------------------------------------------

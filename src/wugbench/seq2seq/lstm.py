@@ -16,8 +16,9 @@ positions: going forward a row carries its last real state to the end,
 going backward its zero start state waits for its last symbol.  Attention
 masks padded source positions; padded targets come last and get weight 0.
 Decoding works the same way: ``encode`` runs many sources as one padded
-pass, and ``decode_step_batch`` steps every hypothesis of every source as
-one row, attending over its own source's memory and padding mask.
+pass, and ``decode_step_batch`` steps every greedy, sampled or beam
+hypothesis of every source as one row, attending over its own source's
+memory and padding mask.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
   encoder pass and the padding is masked
 - ``decode_step_batch(state, prev_ids) -> (probs ndarray [N, V], state)``
   advances all N rows of a state by one position, whatever source each
-  row decodes; greedy and beam search run it on every live hypothesis of
-  many sources at once, and ``decode_step(state, prev_id) -> (probs [V],
-  state)`` is its one-row case
+  row decodes; greedy, sampling and beam search run it on every live
+  hypothesis of many sources at once
 - ``teacher_forced_logprobs(pairs, rng=None, train=False) -> (Tensor
   [B*T], weights [B*T])``: log P(tgt_t | tgt_<t, src) for (src_ids,
   tgt_ids) pairs right-padded to T target positions, row-major, with 0/1
@@ -108,10 +107,6 @@ class Seq2Seq:
     def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
         """Negative log-likelihood of tgt_ids, summed over timesteps."""
         return self.batch_loss([(src_ids, tgt_ids)], rng, train)
-
-    def decode_step(self, state: DecodeState, prev_id: int):
-        probs, state = self.decode_step_batch(state, [prev_id])
-        return probs[0], state
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator) -> Seq2Seq:

@@ -15,8 +15,8 @@ runs many sources as one padded pass and projects the memory to every
 decoder layer's cross-attention keys and values once per source, and the
 decoder state caches each row's self-attention keys and values, so a step
 runs the decoder over the newest position only.  ``decode_step_batch``
-advances every hypothesis of every source as one row of a single [N, D]
-pass; ``decode_step`` is its one-row case.
+advances every row of every source, a greedy, sampled or beam hypothesis,
+as one row of a single [N, D] pass.
 """
 
 from __future__ import annotations

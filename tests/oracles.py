@@ -34,7 +34,7 @@ class TableModel:
     ``table`` maps the tuple of symbols generated so far to a probability
     vector over the vocabulary; missing prefixes fall back to uniform.
     A state row is just the tuple of ids fed to the decoder.  Its
-    teacher-forced pass chains its own ``decode_step`` pair by pair, and
+    teacher-forced pass chains one-row steps pair by pair, and
     ``decode_step_batch`` loops over rows.
     """
 
@@ -56,10 +56,6 @@ class TableModel:
     def decode_step_batch(self, state, prev_ids):
         rows = [self._row_step(fed, p) for fed, p in zip(state, prev_ids)]
         return np.stack([p for p, _ in rows]), TableRows(fed for _, fed in rows)
-
-    def decode_step(self, state, prev_id):
-        probs, state = self.decode_step_batch(state, [prev_id])
-        return probs[0], state
 
     def teacher_forced_logprobs(self, pairs, rng=None, train=False):
         width = max(len(tgt) for _, tgt in pairs)
@@ -99,13 +95,13 @@ def random_table_model(rng: np.random.Generator, vocab_size: int,
 
 
 def chained_logprobs(model, src_ids, tgt_ids) -> np.ndarray:
-    """Per-step log-probabilities of a forced target via repeated decode_step."""
+    """Per-step log-probabilities of a forced target, one row stepped at a time."""
     with no_grad():
         state = model.encode([src_ids])
         out = np.zeros(len(tgt_ids))
         prev = BOS
         for t, sym in enumerate(tgt_ids):
-            probs, state = model.decode_step(state, prev)
+            (probs,), state = model.decode_step_batch(state, [prev])
             p = float(probs[sym])
             out[t] = math.log(p) if p > 0.0 else -math.inf
             prev = sym
@@ -118,7 +114,7 @@ def rescore_prefix(model, src_ids, prefix) -> float:
     prev = BOS
     total = 0.0
     for sym in prefix:
-        probs, state = model.decode_step(state, prev)
+        (probs,), state = model.decode_step_batch(state, [prev])
         p = float(probs[sym])
         total += math.log(p) if p > 0.0 else -math.inf
         prev = sym
@@ -133,7 +129,7 @@ def enumeration_beam(model, src_ids, width: int, max_len: int):
     (-logprob, symbols) rule as the implementation.  Returns a list of
     (symbols, logprob, finished) triples, best first.
     """
-    probs0, _ = model.decode_step(model.encode([src_ids]), BOS)
+    (probs0,), _ = model.decode_step_batch(model.encode([src_ids]), [BOS])
     vocab = len(probs0)
     live: list[tuple[int, ...]] = [()]
     finished: list[tuple[tuple[int, ...], float]] = []
@@ -163,7 +159,7 @@ def enumeration_beam(model, src_ids, width: int, max_len: int):
 
 def exhaustive_best(model, src_ids, max_len: int):
     """The true argmax finished sequence by enumerating everything."""
-    probs0, _ = model.decode_step(model.encode([src_ids]), BOS)
+    (probs0,), _ = model.decode_step_batch(model.encode([src_ids]), [BOS])
     vocab = len(probs0)
     best: tuple[float, tuple[int, ...]] | None = None
 

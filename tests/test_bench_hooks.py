@@ -74,7 +74,7 @@ def _undo_on_teardown(monkeypatch, tracer):
     targets += [(cp, name) for name in tracer.CORPUS_LAYERS]
     targets += [(Adam, "step")]
     targets += [(cls, attr) for cls in (LSTMSeq2Seq, TransformerSeq2Seq)
-                for attr in ("loss", "batch_loss", "decode_step", "decode_step_batch")]
+                for attr in ("loss", "batch_loss", "decode_step_batch")]
     for owner, attr in targets:
         if hasattr(owner, attr):
             monkeypatch.setattr(owner, attr, getattr(owner, attr))

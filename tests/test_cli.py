@@ -113,6 +113,8 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     for flag, key in (("--epochs", "epochs"), ("--beam-width", "beam_width")):
         assert main(["train", "--config", str(good), flag, "0"]) == 1
         assert f"error: {key} takes integers >= 1, got 0" in capsys.readouterr().err
+    assert main(["train", "--config", str(good), "--seeds", "0"]) == 1
+    assert "error: at least one seed is required" in capsys.readouterr().err
 
     # so is a value the model refuses, even for an architecture that would
     # train after another unit

@@ -68,6 +68,10 @@ def test_greedy_hits_length_cap():
 def test_greedy_rejects_bad_max_len():
     with pytest.raises(ContractError):
         greedy_decode(TableModel({}, 4), [SRC], max_len=0)
+    with pytest.raises(ContractError):
+        sample_decode(TableModel({}, 4), [SRC], 2, np.random.default_rng(0), max_len=0)
+    with pytest.raises(ContractError):
+        sample_decode(TableModel({}, 4), [SRC], 0, np.random.default_rng(0))
 
 
 def test_default_max_len_tracks_source():
@@ -206,10 +210,9 @@ def test_beam_results_sorted_by_logprob():
 def test_sample_decode_is_seed_deterministic():
     rng = np.random.default_rng(4)
     model = random_table_model(rng, vocab_size=5, depth=4, eos_boost=1.5)
-    a = sample_decode(model, SRC, np.random.default_rng(9))
-    b = sample_decode(model, SRC, np.random.default_rng(9))
-    assert a.symbols == b.symbols
-    assert a.logprob == b.logprob
+    a = sample_decode(model, [SRC, [3]], 4, np.random.default_rng(9))
+    b = sample_decode(model, [SRC, [3]], 4, np.random.default_rng(9))
+    assert a == b  # symbols, logprob and finished of every draw
 
 
 def test_sample_decode_matches_model_distribution():
@@ -219,7 +222,8 @@ def test_sample_decode_matches_model_distribution():
         vocab_size=5,
     )
     rng = np.random.default_rng(0)
-    draws = [sample_decode(model, SRC, rng).symbols for _ in range(400)]
+    (hyps,) = sample_decode(model, [SRC], 400, rng)
+    draws = [h.symbols for h in hyps]
     frac_three = sum(d == (3,) for d in draws) / len(draws)
     assert 0.65 < frac_three < 0.85
     assert all(d in ((), (3,)) for d in draws)
@@ -227,9 +231,23 @@ def test_sample_decode_matches_model_distribution():
 
 def test_sampled_score_matches_rescoring():
     model = random_table_model(np.random.default_rng(12), vocab_size=5, depth=4)
-    hyp = sample_decode(model, SRC, np.random.default_rng(3))
-    want = rescore_prefix(model, SRC, hyp.symbols + ((EOS,) if hyp.finished else ()))
-    assert hyp.logprob == pytest.approx(want, abs=1e-12)
+    (hyps,) = sample_decode(model, [SRC], 8, np.random.default_rng(3))
+    for hyp in hyps:
+        want = rescore_prefix(model, SRC, hyp.symbols + ((EOS,) if hyp.finished else ()))
+        assert hyp.logprob == pytest.approx(want, abs=1e-12)
+
+
+def test_sampling_never_draws_a_zero_probability_symbol():
+    # pad, start and the last id (3 of 6) get no mass after any prefix a draw
+    # can reach, so an off-by-one in the inverse CDF would show
+    model = random_table_model(np.random.default_rng(8), vocab_size=6, depth=3)
+    for probs in model.table.values():
+        probs[[0, 1, 5]] = 0.0
+        probs /= probs.sum()
+    samples = sample_decode(model, [SRC] * (CHUNK + 3), 40, np.random.default_rng(5), max_len=4)
+    symbols = {sym for draws in samples for h in draws for sym in h.symbols}
+    assert symbols == {3, 4}
+    assert all(math.isfinite(h.logprob) for draws in samples for h in draws)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +301,7 @@ def test_force_score_runs_only_the_teacher_forced_pass(monkeypatch):
         raise AssertionError("force_score stepped the decoder")
 
     for cls in (LSTMSeq2Seq, TransformerSeq2Seq):
-        for attr in ("decode_step", "decode_step_batch"):
-            monkeypatch.setattr(cls, attr, refuse, raising=False)
+        monkeypatch.setattr(cls, "decode_step_batch", refuse)
     tiny = dict(emb_dim=4, hidden_dim=3, attn_dim=3, enc_layers=1, d_model=8,
                 ffn_dim=12, heads=2, enc_blocks=1, dec_blocks=1)
     for arch in ARCHITECTURES:
@@ -356,3 +373,18 @@ def test_width_one_beam_is_greedy_inside_a_batch(copy_model):
     assert all(len(beam.hyps) == 1 for beam in beams)
     # bit-exact, not approximate
     assert [beam.hyps[0] for beam in beams] == greedy_decode(copy_model, RAGGED)
+
+
+def test_sampled_scores_equal_forced_scores_in_a_ragged_batch(copy_model):
+    samples = sample_decode(copy_model, RAGGED, 3, np.random.default_rng(6))
+    assert [len(draws) for draws in samples] == [3] * len(RAGGED)
+    hyps = [(src, h) for src, draws in zip(RAGGED, samples) for h in draws]
+    # some rows end by the end id, some run to their source's length cap
+    assert {h.finished for _, h in hyps} == {True, False}
+    forced = force_score(copy_model, [(src, list(h.symbols) + [EOS]) for src, h in hyps])
+    for (src, hyp), score in zip(hyps, forced):
+        if not hyp.finished:
+            assert len(hyp.symbols) == default_max_len(src)
+        # an unfinished draw never took the end id's factor
+        want = sum(score.step_logprobs[:len(hyp.symbols) + hyp.finished])
+        assert abs(hyp.logprob - want) < 1e-9

@@ -470,9 +470,11 @@ def test_checkpoints_written_with_meta(en_run):
 # determinism
 
 
-def test_rerun_is_byte_identical(corpora, tmp_path):
+@pytest.mark.parametrize("sample_productions", [0, 3])
+def test_rerun_is_byte_identical(corpora, tmp_path, sample_productions):
     out = tmp_path / "run"
-    config = _en_config(corpora, out, architectures=("unilstm_attn",), epochs=2)
+    config = _en_config(corpora, out, architectures=("unilstm_attn",), epochs=2,
+                        sample_productions=sample_productions)
     run_experiment(config)
     names = ["training_curves.csv", "accuracy.csv", "ratings.csv",
              "correlations.csv", "productions.csv", "summary.json"]
@@ -593,6 +595,20 @@ def test_write_csv_formats(tmp_path):
     assert text == "a,b,c\nx,1.5,3\n,,\n"
     rows = read_csv_rows(path)
     assert rows[1] == {"a": "", "b": "", "c": ""}
+
+
+def test_failed_csv_write_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("v",), [{"v": 1}, {"v": 2}])
+
+    def rows():
+        yield {"v": 3}
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space"):
+        write_csv(path, ("v",), rows())
+    assert path.read_text(encoding="utf-8") == "v\n1\n2\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_float_formatting_is_shortest_roundtrip(tmp_path):

@@ -128,11 +128,11 @@ def test_relative_parameter_ordering(vocab):
 def test_decode_step_returns_distribution(arch):
     model = tiny_model(arch)
     state = model.encode([[3, 4, 5]])
-    probs, state = model.decode_step(state, 1)
+    (probs,), state = model.decode_step_batch(state, [1])
     assert probs.shape == (8,)
     assert np.all(probs >= 0)
     assert math.isclose(probs.sum(), 1.0, rel_tol=1e-9)
-    probs2, _ = model.decode_step(state, 3)
+    (probs2,), _ = model.decode_step_batch(state, [3])
     assert math.isclose(probs2.sum(), 1.0, rel_tol=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_loss_equals_chained_step_nll(arch):
     prev = 1
     total = 0.0
     for sym in tgt:
-        probs, state = model.decode_step(state, prev)
+        (probs,), state = model.decode_step_batch(state, [prev])
         total -= math.log(probs[sym])
         prev = sym
     assert abs(loss - total) < 1e-9
@@ -164,7 +164,7 @@ def test_transformer_forced_logprobs_match_steps():
     state = model.encode([src])
     prev = 1
     for i, sym in enumerate(tgt):
-        probs, state = model.decode_step(state, prev)
+        (probs,), state = model.decode_step_batch(state, [prev])
         assert abs(lps[i] - math.log(probs[sym])) < 1e-9
         prev = sym
 
@@ -229,12 +229,13 @@ def test_batched_step_matches_single_steps(arch):
         # the same row decoded alone, from its own one-source encoding
         single = model.encode([sources[parent]])
         for fed in (1, [3, 4, 5, 6, 7][i]):
-            _, single = model.decode_step(single, fed)
-        single_probs, single = model.decode_step(single, prev)
+            _, single = model.decode_step_batch(single, [fed])
+        (single_probs,), single = model.decode_step_batch(single, [prev])
         np.testing.assert_allclose(probs[i], single_probs, rtol=0, atol=1e-12)
         # the stepped rows carry on exactly like singly stepped ones
-        np.testing.assert_allclose(model.decode_step(stepped.take([i]), 4)[0],
-                                   model.decode_step(single, 4)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.decode_step_batch(stepped.take([i]), [4])[0][0],
+                                   model.decode_step_batch(single, [4])[0][0],
+                                   rtol=0, atol=1e-12)
 
 
 def test_transformer_decoder_is_causal():
@@ -252,8 +253,8 @@ def test_decode_step_is_pure():
     # stepping twice from the same state must give identical distributions
     model = tiny_model("bilstm_attn")
     state = model.encode([[3, 4]])
-    p1, _ = model.decode_step(state, 1)
-    p2, _ = model.decode_step(state, 1)
+    (p1,), _ = model.decode_step_batch(state, [1])
+    (p2,), _ = model.decode_step_batch(state, [1])
     np.testing.assert_array_equal(p1, p2)
 
 
