@@ -250,35 +250,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``w @ x + b`` for a vector x, or ``x @ w.T + b`` row-wise for 2-D x.
+    """``x @ w.T + b`` row-wise for rows x [B, in].
 
     ``w`` is stored [out, in]; this is the fused linear layer used by every
     architecture, kept primitive to cut graph size.
     """
     if w.ndim != 2:
         raise ShapeError(f"affine: weight must be 2-D, got {w.shape}")
-    if x.ndim == 1:
-        if x.shape[0] != w.shape[1]:
-            raise ShapeError(f"affine: incompatible shapes {w.shape} and {x.shape}")
-        data = w.data @ x.data
-    elif x.ndim == 2:
-        if x.shape[1] != w.shape[1]:
-            raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
-        data = x.data @ w.data.T
-    else:
-        raise ShapeError(f"affine: input must be 1-D or 2-D, got {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"affine: input must be 2-D, got {x.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
+    data = x.data @ w.data.T
     if b is not None:
         data = data + b.data
 
     def vjp(g, x=x, w=w, with_bias=b is not None):
-        if x.ndim == 1:
-            gx = w.data.T @ g
-            gw = np.outer(g, x.data)
-            gb = g if with_bias else None
-        else:
-            gx = g @ w.data
-            gw = g.T @ x.data
-            gb = g.sum(axis=0) if with_bias else None
+        gx = g @ w.data
+        gw = g.T @ x.data
+        gb = g.sum(axis=0) if with_bias else None
         return (gx, gw, gb) if with_bias else (gx, gw)
 
     parents = (x, w) if b is None else (x, w, b)

@@ -81,6 +81,11 @@ class RunnerError(Exception):
     """Configuration or orchestration problem."""
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class TrainingDiverged(Exception):
     """Loss or gradients went non-finite; carries a diagnostic string."""
 
@@ -134,9 +139,13 @@ class ExperimentConfig:
                        for v in (value if name == "seeds" else (value,))):
                 raise RunnerError(f"{name} takes integers >= {low}, got {value!r}")
         for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and value > 0):
                 raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
+        ratios = self.split_ratios
+        if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
+                and all(_is_number(r) and r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise RunnerError("split_ratios takes three finite numbers >= 0 that sum to 1, "
+                              f"got {ratios!r}")
         if not isinstance(self.model_overrides, dict):
             raise RunnerError(f"model_overrides must be a mapping, got {self.model_overrides!r}")
         tunable = set(ModelConfig.__dataclass_fields__) - {"arch", "vocab_size"}
@@ -156,7 +165,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         for key in ("split_ratios", "architectures", "seeds"):
-            if key in d and d[key] is not None:
+            if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise RunnerError(f"{key} takes a list, got {d[key]!r}")
                 d[key] = tuple(d[key])
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
@@ -215,11 +226,16 @@ class DataBundle:
 
 
 def _split(config: ExperimentConfig):
-    """(lang, train, dev, test) of the config's one dataset, split by class."""
+    """(lang, train, dev, test) of the config's one dataset, split by class;
+    refuses a split that leaves a part empty."""
     lang, examples = cp.parse_dataset(config.dataset)
     rng = seeded_rng(config.split_seed, SHUFFLE_STREAM)
-    return (lang, *cp.split_dataset(examples, config.split_ratios, rng,
-                                    stratify=lambda ex: ex.cls))
+    parts = cp.split_dataset(examples, config.split_ratios, rng, stratify=lambda ex: ex.cls)
+    empty = [name for name, part in zip(("train", "dev", "test"), parts) if not part]
+    if empty:
+        raise RunnerError(f"split_ratios {list(config.split_ratios)} leave {', '.join(empty)} "
+                          f"empty out of {len(examples)} examples")
+    return (lang, *parts)
 
 
 def load_data(config: ExperimentConfig) -> DataBundle:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 ARCHITECTURES = (
     "bilstm_attn",
@@ -62,6 +62,3 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def with_overrides(self, **kwargs) -> "ModelConfig":
-        return replace(self, **kwargs)

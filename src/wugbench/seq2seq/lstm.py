@@ -15,10 +15,10 @@ target) pairs as one graph.  The encoder's rows are dead at padded
 positions: going forward a row carries its last real state to the end,
 going backward its zero start state waits for its last symbol.  Attention
 masks padded source positions; padded targets come last and get weight 0.
-Decoding works the same way: ``encode`` runs many sources as one padded
-pass, and ``decode_step_batch`` steps every greedy, sampled or beam
-hypothesis of every source as one row, attending over its own source's
-memory and padding mask.
+Decoding works the same way: ``_start`` runs many sources as one padded
+pass, and ``_step`` steps every greedy, sampled or beam hypothesis of every
+source as one row, attending over its own source's memory and padding mask.
+``Seq2Seq`` pads, masks and reads the probabilities around these hooks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..corpus import BOS
 from ..ndiff import (
     Tensor,
     add,
@@ -38,14 +37,13 @@ from ..ndiff import (
     lstm_cell,
     matmul,
     narrow,
-    no_grad,
     parameter,
     reshape,
     softmax,
     tanh,
 )
 from .config import ModelConfig
-from .model import DecodeState, Seq2Seq, _padded, _padded_sources, target_logprobs
+from .model import DecodeState, Seq2Seq
 
 
 class LSTMSeq2Seq(Seq2Seq):
@@ -146,31 +144,27 @@ class LSTMSeq2Seq(Seq2Seq):
         return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))),
                 reshape(rows, (batch, width, -1)), reshape(keys, (batch, width, -1)))
 
-    def encode(self, sources) -> DecodeState:
+    def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
         """The decoder start of every source as the rows of one state; the
         attentional memory, keys and padding mask are shared per source."""
-        src, src_len, mask = _padded_sources(sources)
-        with no_grad():
-            h, c, ctx, memory, keys = self._encode(src, src_len, False, None)
+        h, c, ctx, memory, keys = self._encode(src, src_len, False, None)
         shared = (memory.data, keys.data, mask) if self.attention else ()
-        return DecodeState(np.arange(len(sources)), (h.data, c.data, ctx.data), shared)
+        return DecodeState(np.arange(len(src)), (h.data, c.data, ctx.data), shared)
 
     # -- decoder -----------------------------------------------------------
 
-    def _attend(self, h: Tensor, memory: Tensor, keys: Tensor, mask) -> Tensor:
+    def _attend(self, h: Tensor, memory: Tensor, keys: Tensor, mask: np.ndarray) -> Tensor:
         """Additive attention of rows h [B, H] over memory [B, S, ctx_dim],
-        with an additive padding mask [B, S] or None."""
+        with an additive padding mask [B, S]."""
         batch, width, _ = keys.shape
         q = reshape(affine(h, self.params["attn.query.w"]), (batch, 1, -1))
         e = tanh(add(keys, q))
         scores = reshape(matmul(e, reshape(self.params["attn.v"], (-1, 1))), (batch, width))
-        if mask is not None:
-            scores = add(scores, Tensor(mask))
-        weights = reshape(softmax(scores), (batch, 1, width))
+        weights = reshape(softmax(add(scores, Tensor(mask))), (batch, 1, width))
         return reshape(matmul(weights, memory), (batch, -1))
 
-    def _step(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
-              memory: Tensor | None, keys: Tensor | None, mask):
+    def _cell(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
+              memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
         """Feed prev_ids [B] to every row; returns the rows' new (h, c, ctx)."""
         H = self.config.hidden_dim
         x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids), ctx], axis=1)
@@ -180,38 +174,23 @@ class LSTMSeq2Seq(Seq2Seq):
             ctx = self._attend(h, memory, keys, mask)
         return h, c, ctx
 
-    def decode_step_batch(self, state: DecodeState, prev_ids):
-        """Advance every row of ``state`` by one position; returns (probs
-        [N, V], the stepped state)."""
-        with no_grad():
-            memory = keys = mask = None
-            if self.attention:
-                memory, keys, mask = state.shared
-                memory, keys = Tensor(memory[state.src]), Tensor(keys[state.src])
-                if mask is not None:
-                    mask = mask[state.src]
-            h, c, ctx = self._step(np.asarray(prev_ids, dtype=np.intp),
-                                   *(Tensor(a) for a in state.rows), memory, keys, mask)
-            logits = affine(concat([h, ctx], axis=1), self.params["out.w"], self.params["out.b"])
-            probs = softmax(logits).data
-        return probs, replace(state, rows=(h.data, c.data, ctx.data), steps=state.steps + 1)
+    def _step(self, state: DecodeState, prev_ids: np.ndarray):
+        memory = keys = mask = None
+        if self.attention:
+            memory, keys, mask = (a[state.src] for a in state.shared)
+            memory, keys = Tensor(memory), Tensor(keys)
+        h, c, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, mask)
+        logits = affine(concat([h, ctx], axis=1), self.params["out.w"], self.params["out.b"])
+        return logits, replace(state, rows=(h.data, c.data, ctx.data))
 
     # -- teacher forcing ---------------------------------------------------
 
-    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
-        """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
-        pairs, with 0/1 weights [B*T] marking real positions."""
-        src, src_len, mask = _padded_sources([s for s, _ in pairs])
-        tgt, tgt_len = _padded([t for _, t in pairs])
-        batch, width = tgt.shape
+    def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
         h, c, ctx, memory, keys = self._encode(src, src_len, train, rng)
-        tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
         feats = []
         for prev in tgt_in.T:
-            h, c, ctx = self._step(prev, h, c, ctx, memory, keys, mask)
+            h, c, ctx = self._cell(prev, h, c, ctx, memory, keys, mask)
             feats.append(concat([h, ctx], axis=1))
-        f = reshape(concat(feats, axis=1), (batch * width, -1))
+        f = reshape(concat(feats, axis=1), (tgt_in.size, -1))
         f = dropout(f, self.config.dropout, train, rng)
-        logits = affine(f, self.params["out.w"], self.params["out.b"])
-        weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
-        return target_logprobs(logits, tgt.reshape(-1)), weights.reshape(-1)
+        return affine(f, self.params["out.w"], self.params["out.b"])

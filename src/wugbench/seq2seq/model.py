@@ -17,6 +17,9 @@ Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
   ``batch_loss(pairs, rng=None, train=True)`` is its weighted negated sum,
   the loss training takes once per batch, and ``loss`` its one-pair case
 
+``Seq2Seq`` implements them all once, around three hooks in which an
+architecture writes only its network.
+
 States are immutable, so search code can fork them freely: ``state.take``
 picks rows by parent index, repeats allowed, the way fairseq reorders its
 incremental state (Ott et al. 2019).  Targets always end with the
@@ -30,17 +33,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..corpus import PAD
-from ..ndiff import Tensor, gather, log_softmax, mul, sum_
+from ..corpus import BOS, PAD
+from ..ndiff import Tensor, gather, log_softmax, mul, no_grad, softmax, sum_
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
-
-
-def target_logprobs(logits: Tensor, tgt_ids) -> Tensor:
-    """log-softmax of logits [N, V] read at tgt_ids [N] -> [N]."""
-    return gather(log_softmax(logits, axis=-1), tgt_ids)
 
 
 def nll(logprobs: Tensor, weights=None) -> Tensor:
@@ -59,14 +57,12 @@ def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
-def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-padded source ids [B, S], their lengths, and an additive [B, S]
-    mask hiding the padded positions (None if there is no padding)."""
+    mask hiding the padded positions."""
     src, src_len = _padded(sources)
     if src_len.min() == 0:
         raise ContractError("encode: empty source sequence")
-    if np.all(src_len == src.shape[1]):
-        return src, src_len, None
     valid = np.arange(src.shape[1])[None, :] < src_len[:, None]
     return src, src_len, np.where(valid, 0.0, NEG_INF)
 
@@ -78,13 +74,11 @@ class DecodeState:
     ``shared`` holds a model's per-source arrays (first axis: source),
     which rows read through ``src`` [N], the source of each row, and no
     step copies.  ``rows`` holds the per-row arrays (first axis: row).
-    ``steps`` counts the ids fed so far, the same for every row.
     """
 
     src: np.ndarray
     rows: tuple[np.ndarray, ...]
     shared: tuple = ()
-    steps: int = 0
 
     def __len__(self) -> int:
         return len(self.src)
@@ -96,8 +90,34 @@ class DecodeState:
 
 
 class Seq2Seq:
-    """The protocol, given a subclass's ``encode``, ``decode_step_batch`` and
-    ``teacher_forced_logprobs``."""
+    """The protocol around a subclass's network, which it writes as hooks:
+
+    - ``_start(src, src_len, mask) -> DecodeState``: the decoder start of
+      padded source ids [B, S] with lengths [B] and additive mask [B, S]
+    - ``_step(state, prev_ids) -> (logits [N, V], state)``: feed prev_ids
+      [N] to every row
+    - ``_forced(src, src_len, mask, tgt_in, train, rng) -> logits [B*T, V]``:
+      the teacher-forced pass over decoder inputs tgt_in [B, T]
+    """
+
+    def encode(self, sources) -> DecodeState:
+        src, src_len, mask = _padded_sources(sources)
+        with no_grad():
+            return self._start(src, src_len, mask)
+
+    def decode_step_batch(self, state: DecodeState, prev_ids):
+        with no_grad():
+            logits, state = self._step(state, np.asarray(prev_ids, dtype=np.intp))
+            return softmax(logits).data, state
+
+    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
+        src, src_len, mask = _padded_sources([s for s, _ in pairs])
+        tgt, tgt_len = _padded([t for _, t in pairs])
+        batch, width = tgt.shape
+        tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
+        logits = self._forced(src, src_len, mask, tgt_in, train, rng)
+        weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
+        return gather(log_softmax(logits, axis=-1), tgt.reshape(-1)), weights.reshape(-1)
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every

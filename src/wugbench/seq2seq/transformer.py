@@ -3,20 +3,20 @@
 Sinusoidal positions, scaled embeddings, multi-head attention, and a
 final layer norm on both stacks.
 
-Teacher-forced work (training and forced scoring) runs a whole batch of
-(source, target) pairs as one graph.  Sequences are right-padded and laid
-out as rows [B*T, D]; attention adds a key-padding mask over the source,
-and the causal mask alone keeps padded target positions away from real
-ones.  ``teacher_forced_logprobs``, and with it ``loss``, is the one-pair
-case of that graph.
+Teacher-forced work (training and forced scoring), ``_forced``, runs a
+whole batch of (source, target) pairs as one graph.  Sequences are
+right-padded and laid out as rows [B*T, D]; attention adds the key-padding
+mask over the source, and the causal mask alone keeps padded target
+positions away from real ones.
 
-Decoding is incremental, as in fairseq (Ott et al. 2019): ``encode``
+Decoding is incremental, as in fairseq (Ott et al. 2019): ``_start``
 runs many sources as one padded pass and projects the memory to every
 decoder layer's cross-attention keys and values once per source, and the
 decoder state caches each row's self-attention keys and values, so a step
-runs the decoder over the newest position only.  ``decode_step_batch``
-advances every row of every source, a greedy, sampled or beam hypothesis,
-as one row of a single [N, D] pass.
+runs the decoder over the newest position only.  ``_step`` advances every
+row of every source, a greedy, sampled or beam hypothesis, as one row of a
+single [N, D] pass.  ``Seq2Seq`` pads, masks and reads the probabilities
+around these hooks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..corpus import BOS
 from ..ndiff import (
     Tensor,
     affine,
@@ -36,16 +35,14 @@ from ..ndiff import (
     embedding_lookup,
     layer_norm,
     mul,
-    no_grad,
     parameter,
     relu,
     reshape,
     scaled_dot_product,
-    softmax,
     transpose,
 )
 from .config import ModelConfig
-from .model import NEG_INF, DecodeState, Seq2Seq, _padded, _padded_sources, target_logprobs
+from .model import NEG_INF, DecodeState, Seq2Seq
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -145,13 +142,11 @@ class TransformerSeq2Seq(Seq2Seq):
         x = add(x, Tensor(np.tile(pe, (batch, 1))))
         return dropout(x, cfg.dropout, train, rng)
 
-    def _encode(self, sources, train: bool, rng) -> tuple[Tensor, np.ndarray | None]:
-        """Encoder memory rows [B*S, D] for the right-padded sources, and
-        the key-padding mask [B, 1, 1, S] (None if there is no padding)."""
+    def _encode(self, src: np.ndarray, mask: np.ndarray, train: bool, rng):
+        """Encoder memory rows [B*S, D] for padded source ids [B, S], and
+        their padding mask [B, S] as a key-padding mask [B, 1, 1, S]."""
         cfg = self.config
-        src, _, mask = _padded_sources(sources)
-        if mask is not None:
-            mask = mask[:, None, None, :]  # broadcast over heads and queries
+        mask = mask[:, None, None, :]  # broadcast over heads and queries
         batch = src.shape[0]
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
@@ -196,52 +191,42 @@ class TransformerSeq2Seq(Seq2Seq):
         x = self._ln("dec.final_ln", x)
         return affine(x, self.params["out.w"], self.params["out.b"])
 
-    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
-        """log P(tgt_t | tgt_<t, src) [B*T] for right-padded (source, target)
-        pairs, with 0/1 weights [B*T] marking real positions."""
-        memory, mask = self._encode([s for s, _ in pairs], train, rng)
-        tgt, tgt_len = _padded([t for _, t in pairs])
-        batch, width = tgt.shape
-        tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
+    def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
+        memory, mask = self._encode(src, mask, train, rng)
+        batch, width = tgt_in.shape
         x = self._embed("emb.tgt", tgt_in, train, rng)
         causal = causal_mask(width)
         for l, cross in enumerate(self._cross_kv(memory, batch)):
             x, _ = self._dec_block(l, x, batch, cross, causal, mask, None, train, rng)
-        weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
-        return target_logprobs(self._logits(x), tgt.reshape(-1)), weights.reshape(-1)
+        return self._logits(x)
 
-    # -- decoding interface --------------------------------------------------
+    # -- decoding ------------------------------------------------------------
 
-    def encode(self, sources) -> DecodeState:
+    def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
         """The decoder start of every source as the rows of one state.
 
         Shared per source: every decoder layer's cross-attention keys and
         values, each [sources, heads, S, d_head], then the padding mask
-        [sources, 1, 1, S] or None.  Per row: every layer's cached
-        self-attention keys and values, each [N, heads, steps, d_head].
+        [sources, 1, 1, S].  Per row: every layer's cached self-attention
+        keys and values, each [N, heads, steps, d_head].
         """
         cfg = self.config
-        with no_grad():
-            memory, mask = self._encode(sources, False, None)
-            cross = [t.data for kv in self._cross_kv(memory, len(sources)) for t in kv]
-        empty = np.zeros((len(sources), cfg.heads, 0, cfg.d_model // cfg.heads))
-        return DecodeState(np.arange(len(sources)), (empty,) * len(cross), (*cross, mask))
+        memory, mask = self._encode(src, mask, False, None)
+        cross = [t.data for kv in self._cross_kv(memory, len(src)) for t in kv]
+        empty = np.zeros((len(src), cfg.heads, 0, cfg.d_model // cfg.heads))
+        return DecodeState(np.arange(len(src)), (empty,) * len(cross), (*cross, mask))
 
-    def decode_step_batch(self, state: DecodeState, prev_ids):
-        """Advance every row of ``state`` by one position; returns (probs
-        [N, V], the stepped state)."""
+    def _step(self, state: DecodeState, prev_ids: np.ndarray):
         batch = len(state)
         *cross, mask = state.shared
-        if mask is not None:
-            mask = mask[state.src]
-        with no_grad():
-            ids = np.asarray(prev_ids, dtype=np.intp).reshape(batch, 1)
-            x = self._embed("emb.tgt", ids, False, None, start=state.steps)
-            cache = []
-            for l in range(self.config.dec_blocks):
-                kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
-                past = state.rows[2 * l:2 * l + 2]
-                x, (k, v) = self._dec_block(l, x, batch, kv, None, mask, past, False, None)
-                cache += [k.data, v.data]
-            probs = softmax(self._logits(x)).data
-        return probs, replace(state, rows=tuple(cache), steps=state.steps + 1)
+        mask = mask[state.src]
+        # the cached keys' length is the position of the fed ids
+        x = self._embed("emb.tgt", prev_ids.reshape(batch, 1), False, None,
+                        start=state.rows[0].shape[2])
+        cache = []
+        for l in range(self.config.dec_blocks):
+            kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
+            past = state.rows[2 * l:2 * l + 2]
+            x, (k, v) = self._dec_block(l, x, batch, kv, None, mask, past, False, None)
+            cache += [k.data, v.data]
+        return self._logits(x), replace(state, rows=tuple(cache))

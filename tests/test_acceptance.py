@@ -96,7 +96,7 @@ def _op_suite(rng):
         ("sum_", lambda t: nd.sum_(nd.mul(nd.sum_(t, axis=0), T(v4))), m34),
         ("matmul", lambda t: nd.sum_(nd.mul(nd.matmul(t, T(m43)), T(sel23[:, :3]))), m34[:2]),
         ("matmul-batched", lambda t: nd.sum_(nd.matmul(t, T(b245))), b234),
-        ("affine", lambda t: nd.sum_(nd.affine(t, T(w34), T(b3))), v4),
+        ("affine", lambda t: nd.sum_(nd.affine(t, T(w34), T(b3))), m24),
         ("affine-weight", lambda t: nd.sum_(nd.affine(T(m24), t, T(b3))), w34),
         ("concat", lambda t: nd.sum_(nd.mul(nd.concat([t, T(m34)], axis=0),
                                             T(np.concatenate([sel34, sel34])))), m34),

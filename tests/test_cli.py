@@ -128,6 +128,18 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "checkpoints").exists()
 
+    # a split that leaves dev empty is refused before any unit trains
+    empty_dev = tmp_path / "empty_dev.json"
+    empty_dev.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"), "dataset": str(tmp_path / "en.tsv"),
+        "architectures": ["unilstm_noattn"], "seeds": [1], "epochs": 1,
+        "split_ratios": [0.9, 0.0, 0.1],
+    }), encoding="utf-8")
+    assert main(["train", "--config", str(empty_dev)]) == 1
+    error = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(error) == 1 and "dev" in error[0]
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
 
 # ---------------------------------------------------------------------------
 # pipeline through the console entry point

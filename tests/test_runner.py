@@ -146,6 +146,8 @@ def test_config_from_dict_rejects_unknown_keys():
     ("epochs", 2.5), ("epochs", True), ("batch_size", "8"), ("beam_width", 3.0),
     ("split_seed", 0.5), ("sample_productions", 1.5), ("seeds", [1, 2.5]), ("seeds", [True]),
     ("lr", True), ("clip_norm", True),
+    ("seeds", 5), ("split_ratios", 0.8), ("split_ratios", ["0.8", "0.1", "0.1"]),
+    ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.6, 0.5, 0.1]),
 ])
 def test_config_from_dict_rejects_bad_training_values(key, value):
     with pytest.raises(RunnerError, match=key):
