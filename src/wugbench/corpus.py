@@ -365,11 +365,12 @@ def write_wugs(path, wugs: WugSet) -> None:
 
 
 def _split_sizes(n: int, ratios: Sequence[float]) -> list[int]:
-    # round-half-up for every split but the last, which takes the remainder
-    sizes = [math.floor(n * r + 0.5) for r in ratios[:-1]]
+    # round-half-up for every split but the last, each clamped to what
+    # remains; the last takes the remainder
+    sizes: list[int] = []
+    for r in ratios[:-1]:
+        sizes.append(min(math.floor(n * r + 0.5), n - sum(sizes)))
     sizes.append(n - sum(sizes))
-    if min(sizes) < 0:
-        raise ValidationError(f"ratios {ratios} infeasible for {n} examples")
     return sizes
 
 

@@ -232,23 +232,6 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul over stacks of matrices; operands must have ndim >= 2."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def vjp(g, a=a, b=b):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _node(data, (a, b), vjp)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w.T + b`` row-wise for rows x [B, in].
 
@@ -318,13 +301,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
     return _node(data, (x,), lambda g, s=x.shape: (g.reshape(s),))
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    data = x.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
-    return _node(data, (x,), lambda g, inv=inv: (g.transpose(inv),))
 
 
 # ---------------------------------------------------------------------------
@@ -415,33 +391,73 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(data, (x, gain, bias), vjp)
 
 
-def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v over the last two axes.
+def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+                       heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d_head) + mask) v per head, for q [B, Tq, D] and
+    k, v [B, Tk, D] -> [B, Tq, D]; the columns split into ``heads`` heads of
+    d_head = D / heads, which merge back in order (Vaswani et al. 2017).
 
     One node; the backward is that of Dao et al. (2022) without the tiling.
     ``mask`` is an additive array that broadcasts against the scores
-    [..., Tq, Tk] and is not differentiated.
+    [B, heads, Tq, Tk] and is not differentiated.
     """
-    scale = 1.0 / math.sqrt(q.shape[-1])
+    def split(x):  # [B, T, D] -> a view [B, heads, T, d_head]
+        return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [B, heads, T, d_head] -> [B, T, D]
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
     try:
-        scores = np.matmul(q.data, k.data.swapaxes(-1, -2)) * scale
+        if q.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
+            raise ValueError("q, k and v differ in rank, batch size or width")
+        qh, kh, vh = split(q.data), split(k.data), split(v.data)
+        scale = 1.0 / math.sqrt(qh.shape[-1])
+        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
         if mask is not None:
             scores = scores + mask
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
-        data = np.matmul(probs, v.data)
+        data = merge(np.matmul(probs, vh))
     except ValueError as exc:
         raise ShapeError(f"scaled_dot_product: incompatible shapes {q.shape}, {k.shape} "
-                         f"and {v.shape}") from exc
+                         f"and {v.shape} for {heads} heads") from exc
 
-    def vjp(g, q=q, k=k, v=v, probs=probs, scale=scale):
-        gp = np.matmul(g, v.data.swapaxes(-1, -2))
+    def vjp(g, qh=qh, kh=kh, vh=vh, probs=probs, scale=scale):
+        g = split(g)
+        gp = np.matmul(g, vh.swapaxes(-1, -2))
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        return (_unbroadcast(np.matmul(gs, k.data), q.shape),
-                _unbroadcast(np.matmul(gs.swapaxes(-1, -2), q.data), k.shape),
-                _unbroadcast(np.matmul(probs.swapaxes(-1, -2), g), v.shape))
+        return (merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh)),
+                merge(np.matmul(probs.swapaxes(-1, -2), g)))
 
     return _node(data, (q, k, v), vjp)
+
+
+def additive_attention(q: Tensor, keys: Tensor, v: Tensor, memory: Tensor,
+                       mask: np.ndarray) -> Tensor:
+    """softmax(tanh(keys + q) v + mask) memory, the additive attention
+    (Bahdanau et al. 2015) of rows q [B, A] over keys [B, S, A] and memory
+    [B, S, C] scored by v [A] -> [B, C]; ``mask`` [B, S] is an additive
+    array and is not differentiated.  One node with a closed-form backward."""
+    if (keys.ndim != 3 or q.shape != keys.shape[::2] or v.shape != keys.shape[2:]
+            or memory.ndim != 3 or not np.shape(mask) == keys.shape[:2] == memory.shape[:2]):
+        raise ShapeError(f"additive_attention: incompatible shapes {q.shape}, {keys.shape}, "
+                         f"{v.shape}, {memory.shape} and mask {np.shape(mask)}")
+    e = np.tanh(keys.data + q.data[:, None, :])
+    vcol = v.data.reshape(-1, 1)
+    scores = np.matmul(e, vcol)[..., 0] + mask
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = (w / w.sum(axis=-1, keepdims=True))[:, None, :]
+    data = np.matmul(w, memory.data)[:, 0]
+
+    def vjp(g, e=e, vcol=vcol, w=w, mdata=memory.data):
+        g = g[:, None, :]
+        gw = np.matmul(g, mdata.swapaxes(-1, -2))
+        gs = (w * (gw - (gw * w).sum(axis=-1, keepdims=True))).reshape(*e.shape[:2], 1)
+        gpre = np.matmul(gs, vcol.T) * (1.0 - e * e)
+        return (gpre.sum(axis=1), gpre, np.matmul(e.swapaxes(-1, -2), gs).sum(axis=0)[:, 0],
+                np.matmul(w.swapaxes(-1, -2), g))
+
+    return _node(data, (q, keys, v, memory), vjp)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:

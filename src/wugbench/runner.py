@@ -803,11 +803,22 @@ def run_split(config: ExperimentConfig) -> None:
         cp.write_dataset(out_dir / f"{name}.tsv", lang, part)
 
 
+# outputs computed from checkpoints, which a retrained unit makes stale
+LATER_OUTPUTS = ("accuracy.csv", "f1.csv", "ratings.csv", "correlations.csv",
+                 "productions.csv", "summary.json")
+
+
 def run_train(config: ExperimentConfig) -> None:
-    """Train the configured units; write checkpoints, curves and units.csv."""
+    """Train the configured units; write checkpoints, curves and units.csv.
+
+    The later stages' outputs in ``out_dir`` are deleted before the first
+    unit trains, so ``report`` never reads numbers of replaced checkpoints."""
     bundle = load_data(config)
+    out_dir = Path(config.out_dir)
+    for name in LATER_OUTPUTS:
+        (out_dir / name).unlink(missing_ok=True)
     outcomes = _map_units(_train_and_save, config, bundle, _units(config))
-    _emit_training(Path(config.out_dir), outcomes)
+    _emit_training(out_dir, outcomes)
 
 
 def run_eval(config: ExperimentConfig) -> None:

@@ -5,9 +5,11 @@ run in both directions when bidirectional.  A tanh bridge maps the final
 encoder state to the decoder's initial state.
 
 Decoder: single-layer LSTM with input feeding (previous context vector is
-concatenated to the symbol embedding).  Attentional variants use additive
-attention over encoder outputs; the others reuse the final encoder state
-as a constant context, which is the only difference between the variants.
+concatenated to the symbol embedding).  Attentional variants attend over
+the encoder outputs with one ``additive_attention`` node per decoder step
+(Bahdanau et al. 2015), whose keys are projected once per source; the
+others reuse the final encoder state as a constant context, which is the
+only difference between the variants.
 
 Every pass steps rows, one per sequence, through one ``lstm_cell`` per
 timestep.  Teacher-forced work runs a batch of right-padded (source,
@@ -29,17 +31,15 @@ import numpy as np
 
 from ..ndiff import (
     Tensor,
-    add,
+    additive_attention,
     affine,
     concat,
     dropout,
     embedding_lookup,
     lstm_cell,
-    matmul,
     narrow,
     parameter,
     reshape,
-    softmax,
     tanh,
 )
 from .config import ModelConfig
@@ -153,16 +153,6 @@ class LSTMSeq2Seq(Seq2Seq):
 
     # -- decoder -----------------------------------------------------------
 
-    def _attend(self, h: Tensor, memory: Tensor, keys: Tensor, mask: np.ndarray) -> Tensor:
-        """Additive attention of rows h [B, H] over memory [B, S, ctx_dim],
-        with an additive padding mask [B, S]."""
-        batch, width, _ = keys.shape
-        q = reshape(affine(h, self.params["attn.query.w"]), (batch, 1, -1))
-        e = tanh(add(keys, q))
-        scores = reshape(matmul(e, reshape(self.params["attn.v"], (-1, 1))), (batch, width))
-        weights = reshape(softmax(add(scores, Tensor(mask))), (batch, 1, width))
-        return reshape(matmul(weights, memory), (batch, -1))
-
     def _cell(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
               memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
         """Feed prev_ids [B] to every row; returns the rows' new (h, c, ctx)."""
@@ -171,7 +161,8 @@ class LSTMSeq2Seq(Seq2Seq):
         hc = lstm_cell(x, h, c, self.params["dec.w"], self.params["dec.b"])
         h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
         if self.attention:
-            ctx = self._attend(h, memory, keys, mask)
+            q = affine(h, self.params["attn.query.w"])
+            ctx = additive_attention(q, keys, self.params["attn.v"], memory, mask)
         return h, c, ctx
 
     def _step(self, state: DecodeState, prev_ids: np.ndarray):

@@ -39,7 +39,6 @@ from ..ndiff import (
     relu,
     reshape,
     scaled_dot_product,
-    transpose,
 )
 from .config import ModelConfig
 from .model import NEG_INF, DecodeState, Seq2Seq
@@ -113,19 +112,16 @@ class TransformerSeq2Seq(Seq2Seq):
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _heads(self, name: str, x: Tensor, batch: int) -> Tensor:
-        """Project rows [B*T, D] through ``name`` and split heads -> [B, heads, T, d_head]."""
-        cfg = self.config
+    def _project(self, name: str, x: Tensor, batch: int) -> Tensor:
+        """Project rows [B*T, D] through ``name`` -> [B, T, D]."""
         t = affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
-        t = reshape(t, (batch, -1, cfg.heads, cfg.d_model // cfg.heads))
-        return transpose(t, (0, 2, 1, 3))
+        return reshape(t, (batch, -1, self.config.d_model))
 
     def _attend(self, name: str, q: Tensor, k: Tensor, v: Tensor,
                 mask: np.ndarray | None) -> Tensor:
-        """Attention of q over (k, v); heads merged and projected to rows [B*Tq, D]."""
-        o = scaled_dot_product(q, k, v, mask)
-        batch, _, tq, _ = o.shape
-        o = reshape(transpose(o, (0, 2, 1, 3)), (batch * tq, self.config.d_model))
+        """Multi-head attention of q over (k, v), projected to rows [B*Tq, D]."""
+        cfg = self.config
+        o = reshape(scaled_dot_product(q, k, v, mask, cfg.heads), (-1, cfg.d_model))
         return affine(o, self.params[f"{name}.o.w"], self.params[f"{name}.o.b"])
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
@@ -151,7 +147,7 @@ class TransformerSeq2Seq(Seq2Seq):
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
             normed = self._ln(f"enc.{l}.ln1", x)
-            q, k, v = (self._heads(f"enc.{l}.self.{part}", normed, batch) for part in "qkv")
+            q, k, v = (self._project(f"enc.{l}.self.{part}", normed, batch) for part in "qkv")
             a = self._attend(f"enc.{l}.self", q, k, v, mask)
             x = add(x, dropout(a, cfg.dropout, train, rng))
             f = self._ffn(f"enc.{l}.ffn", self._ln(f"enc.{l}.ln2", x))
@@ -160,8 +156,8 @@ class TransformerSeq2Seq(Seq2Seq):
 
     def _cross_kv(self, memory: Tensor, batch: int) -> list[tuple[Tensor, Tensor]]:
         """Every decoder layer's cross-attention (keys, values) over the memory."""
-        return [(self._heads(f"dec.{l}.cross.k", memory, batch),
-                 self._heads(f"dec.{l}.cross.v", memory, batch))
+        return [(self._project(f"dec.{l}.cross.k", memory, batch),
+                 self._project(f"dec.{l}.cross.v", memory, batch))
                 for l in range(self.config.dec_blocks)]
 
     def _dec_block(self, l: int, x: Tensor, batch: int, cross: tuple[Tensor, Tensor],
@@ -174,13 +170,13 @@ class TransformerSeq2Seq(Seq2Seq):
         """
         cfg = self.config
         normed = self._ln(f"dec.{l}.ln1", x)
-        q, k, v = (self._heads(f"dec.{l}.self.{part}", normed, batch) for part in "qkv")
+        q, k, v = (self._project(f"dec.{l}.self.{part}", normed, batch) for part in "qkv")
         if past is not None:
-            k = concat([Tensor(past[0]), k], axis=2)
-            v = concat([Tensor(past[1]), v], axis=2)
+            k = concat([Tensor(past[0]), k], axis=1)
+            v = concat([Tensor(past[1]), v], axis=1)
         a = self._attend(f"dec.{l}.self", q, k, v, self_mask)
         x = add(x, dropout(a, cfg.dropout, train, rng))
-        q = self._heads(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x), batch)
+        q = self._project(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x), batch)
         a = self._attend(f"dec.{l}.cross", q, cross[0], cross[1], cross_mask)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         f = self._ffn(f"dec.{l}.ffn", self._ln(f"dec.{l}.ln3", x))
@@ -206,14 +202,13 @@ class TransformerSeq2Seq(Seq2Seq):
         """The decoder start of every source as the rows of one state.
 
         Shared per source: every decoder layer's cross-attention keys and
-        values, each [sources, heads, S, d_head], then the padding mask
-        [sources, 1, 1, S].  Per row: every layer's cached self-attention
-        keys and values, each [N, heads, steps, d_head].
+        values, each [sources, S, D], then the padding mask [sources, 1, 1,
+        S].  Per row: every layer's cached self-attention keys and values,
+        each [N, steps, D].
         """
-        cfg = self.config
         memory, mask = self._encode(src, mask, False, None)
         cross = [t.data for kv in self._cross_kv(memory, len(src)) for t in kv]
-        empty = np.zeros((len(src), cfg.heads, 0, cfg.d_model // cfg.heads))
+        empty = np.zeros((len(src), 0, self.config.d_model))
         return DecodeState(np.arange(len(src)), (empty,) * len(cross), (*cross, mask))
 
     def _step(self, state: DecodeState, prev_ids: np.ndarray):
@@ -222,7 +217,7 @@ class TransformerSeq2Seq(Seq2Seq):
         mask = mask[state.src]
         # the cached keys' length is the position of the fed ids
         x = self._embed("emb.tgt", prev_ids.reshape(batch, 1), False, None,
-                        start=state.rows[0].shape[2])
+                        start=state.rows[0].shape[1])
         cache = []
         for l in range(self.config.dec_blocks):
             kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])

@@ -61,14 +61,14 @@ def _op_suite(rng):
     m34 = rng.normal(size=(3, 4))
     m34b = rng.normal(size=(3, 4)) + 2.5
     v4 = rng.normal(size=(4,))
-    m43 = rng.normal(size=(4, 3))
+    rng.normal(size=(4, 3))  # unused; drawn so later draws keep their values
     m24 = rng.normal(size=(2, 4))
     b234 = rng.normal(size=(2, 3, 4))
-    b245 = rng.normal(size=(2, 4, 5))
+    rng.normal(size=(2, 4, 5))  # unused
     w34 = rng.normal(size=(3, 4))
     b3 = rng.normal(size=(3,))
     sel34 = rng.normal(size=(3, 4))
-    sel23 = rng.normal(size=(2, 3))
+    rng.normal(size=(2, 3))  # unused
     sel12 = rng.normal(size=(12,))
     selB = rng.normal(size=(2, 3, 4))
     table_sel = rng.normal(size=(3, 4))
@@ -94,15 +94,12 @@ def _op_suite(rng):
         ("tanh", lambda t: nd.sum_(nd.tanh(t)), m34),
         ("relu", lambda t: nd.sum_(nd.relu(t)), nokink),
         ("sum_", lambda t: nd.sum_(nd.mul(nd.sum_(t, axis=0), T(v4))), m34),
-        ("matmul", lambda t: nd.sum_(nd.mul(nd.matmul(t, T(m43)), T(sel23[:, :3]))), m34[:2]),
-        ("matmul-batched", lambda t: nd.sum_(nd.matmul(t, T(b245))), b234),
         ("affine", lambda t: nd.sum_(nd.affine(t, T(w34), T(b3))), m24),
         ("affine-weight", lambda t: nd.sum_(nd.affine(T(m24), t, T(b3))), w34),
         ("concat", lambda t: nd.sum_(nd.mul(nd.concat([t, T(m34)], axis=0),
                                             T(np.concatenate([sel34, sel34])))), m34),
         ("narrow", lambda t: nd.sum_(nd.mul(nd.narrow(t, 1, 1, 2), T(sel34[:, 1:3]))), m34),
         ("reshape", lambda t: nd.sum_(nd.mul(nd.reshape(t, (12,)), T(sel12))), m34),
-        ("transpose", lambda t: nd.sum_(nd.mul(nd.transpose(t, (1, 0)), T(m43))), m34),
         ("embedding_lookup", lambda t: nd.sum_(nd.mul(nd.embedding_lookup(t, [1, 0, 1]),
                                                       T(table_sel[:, :4]))),
          rng.normal(size=(3, 4))),
@@ -135,19 +132,38 @@ def _op_suite(rng):
     lsel = np.vstack([lsel, rng.normal(size=(2, 4))])
     live = np.array([1, 1, 0])
 
-    # attention as the transformer calls it: q, k, v [B, heads, T, d_head]
-    # and a padded-key mask [B, 1, 1, S]; the first row's last two keys are
-    # padding
-    aq = rng.normal(size=(2, 2, 3, 4))
-    akv = rng.normal(size=(2, 2, 5, 4))
-    asel = rng.normal(size=(2, 2, 3, 4))
+    # attention as the transformer calls it: two heads, q, k, v [B, T, D]
+    # drawn per head [B, heads, T, d_head] and merged, and a padded-key
+    # mask [B, 1, 1, S]; the first row's last two keys are padding
+    def merged(x):
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+    aq = merged(rng.normal(size=(2, 2, 3, 4)))
+    akv = merged(rng.normal(size=(2, 2, 5, 4)))
+    asel = merged(rng.normal(size=(2, 2, 3, 4)))
     key_mask = np.zeros((2, 1, 1, 5))
     key_mask[0, ..., 3:] = -1e9
 
     def attend(**leaf):
         a = {"q": T(aq), "k": T(akv), "v": T(akv), **leaf}
-        return nd.sum_(nd.mul(nd.scaled_dot_product(a["q"], a["k"], a["v"], key_mask),
+        return nd.sum_(nd.mul(nd.scaled_dot_product(a["q"], a["k"], a["v"], key_mask, 2),
                               T(asel)))
+
+    # additive attention as the LSTMs call it: q [B, A], keys [B, S, A],
+    # v [A] and memory [B, S, C]; the second row's last three positions are
+    # padding
+    dq = rng.normal(size=(2, 3))
+    dkeys = rng.normal(size=(2, 4, 3))
+    dv = rng.normal(size=(3,))
+    dmemory = rng.normal(size=(2, 4, 2))
+    dsel = rng.normal(size=(2, 2))
+    pad_mask = np.zeros((2, 4))
+    pad_mask[1, 1:] = -1e9
+
+    def additive(**leaf):
+        a = {"q": T(dq), "keys": T(dkeys), "v": T(dv), "memory": T(dmemory), **leaf}
+        return nd.sum_(nd.mul(nd.additive_attention(a["q"], a["keys"], a["v"], a["memory"],
+                                                    pad_mask), T(dsel)))
 
     def cell(**leaf):
         a = {"x": T(lx), "h": T(lh), "c": T(lc), "w": T(lw), **leaf}
@@ -162,6 +178,10 @@ def _op_suite(rng):
         ("scaled_dot_product-padded-q", lambda t: attend(q=t), aq),
         ("scaled_dot_product-padded-k", lambda t: attend(k=t), akv),
         ("scaled_dot_product-padded-v", lambda t: attend(v=t), akv),
+        ("additive_attention", lambda t: additive(q=t), dq),
+        ("additive_attention-keys", lambda t: additive(keys=t), dkeys),
+        ("additive_attention-v", lambda t: additive(v=t), dv),
+        ("additive_attention-memory", lambda t: additive(memory=t), dmemory),
     ]
 
 

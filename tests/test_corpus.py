@@ -328,6 +328,9 @@ def test_split_sizes_round_half_up():
     assert (len(train), len(dev), len(test)) == (7, 1, 1)
     train, dev, test = split_dataset(_examples(5), (0.5, 0.3, 0.2))
     assert (len(train), len(dev), len(test)) == (3, 2, 0)
+    # a leading part never takes more than remains
+    train, dev, test = split_dataset(_examples(5), (0.9, 0.1, 0.0))
+    assert (len(train), len(dev), len(test)) == (5, 0, 0)
 
 
 def test_split_is_a_partition():

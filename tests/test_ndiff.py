@@ -78,18 +78,6 @@ def test_reduction_grads(trial):
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
-def test_matmul_grads(trial):
-    rng = _rng(trial)
-    a = nd.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = nd.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    bb = nd.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    cc = nd.Tensor(rng.normal(size=(2, 4, 5)))
-    _check(lambda t: nd.sum_(nd.matmul(t, b)), a)
-    _check(lambda t: nd.sum_(nd.matmul(a, t)), b)
-    _check(lambda t: nd.sum_(nd.matmul(t, cc)), bb)
-
-
-@pytest.mark.parametrize("trial", range(TRIALS))
 def test_affine_grads(trial):
     rng = _rng(trial)
     w = nd.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -107,14 +95,12 @@ def test_shaping_grads(trial):
     rng = _rng(trial)
     x = nd.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     y = nd.Tensor(rng.normal(size=(2, 6)))
-    w = nd.Tensor(rng.normal(size=(6, 4)))
     _check(lambda t: nd.sum_(nd.mul(nd.concat([t, nd.Tensor(y.data)], axis=0),
                                     nd.Tensor(np.arange(36.0).reshape(6, 6)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.narrow(t, 1, 2, 3),
                                     nd.Tensor(np.arange(12.0).reshape(4, 3)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.reshape(t, (2, 12)),
                                     nd.Tensor(np.arange(24.0).reshape(2, 12)))), x)
-    _check(lambda t: nd.sum_(nd.mul(nd.transpose(t, (1, 0)), w)), x)
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
@@ -170,6 +156,11 @@ def test_layer_norm_constant_row_lands_on_bias():
         assert np.all(np.isfinite(t.grad))
 
 
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[B, heads, T, d_head] -> [B, T, heads * d_head]."""
+    return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+
 @pytest.mark.parametrize("trial", range(TRIALS))
 def test_attention_grads(trial):
     rng = _rng(trial)
@@ -183,19 +174,85 @@ def test_attention_grads(trial):
     _check(lambda t: nd.sum_(nd.mul(nd.scaled_dot_product(q, t, v), sel)), k)
     _check(lambda t: nd.sum_(nd.mul(nd.scaled_dot_product(q, k, t, mask), sel)), v)
 
-    # heads and a padded-key mask [B, 1, 1, S], as the transformer passes them
-    q4 = rng.normal(size=(2, 2, 3, 4))
-    kv4 = rng.normal(size=(2, 2, 5, 4))
-    sel4 = nd.Tensor(rng.normal(size=(2, 2, 3, 4)))
+    # two heads and a padded-key mask [B, 1, 1, S], as the transformer
+    # passes them: per-head draws [B, heads, T, d_head], merged to [B, T, D]
+    q4 = _merge_heads(rng.normal(size=(2, 2, 3, 4)))
+    kv4 = _merge_heads(rng.normal(size=(2, 2, 5, 4)))
+    sel4 = nd.Tensor(_merge_heads(rng.normal(size=(2, 2, 3, 4))))
     key_mask = np.zeros((2, 1, 1, 5))
     key_mask[1, ..., 2:] = -1e9
 
     def attend(q, k, v):
-        return nd.sum_(nd.mul(nd.scaled_dot_product(q, k, v, key_mask), sel4))
+        return nd.sum_(nd.mul(nd.scaled_dot_product(q, k, v, key_mask, heads=2), sel4))
 
     _check(lambda t: attend(t, nd.Tensor(kv4), nd.Tensor(kv4)), q4)
     _check(lambda t: attend(nd.Tensor(q4), t, nd.Tensor(kv4)), kv4)
     _check(lambda t: attend(nd.Tensor(q4), nd.Tensor(kv4), t), kv4)
+
+
+def test_multi_head_attention_is_each_head_alone():
+    rng = _rng(0)
+    heads, d_head = 3, 2
+    q = rng.normal(size=(2, 4, heads * d_head))
+    k = rng.normal(size=(2, 5, heads * d_head))
+    v = rng.normal(size=(2, 5, heads * d_head))
+    mask = np.zeros((2, 1, 1, 5))
+    mask[0, ..., 3:] = -1e9
+    out = nd.scaled_dot_product(nd.Tensor(q), nd.Tensor(k), nd.Tensor(v), mask, heads).data
+    cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
+    alone = [nd.scaled_dot_product(nd.Tensor(q[..., c]), nd.Tensor(k[..., c]),
+                                   nd.Tensor(v[..., c]), mask).data for c in cols]
+    np.testing.assert_allclose(out, np.concatenate(alone, axis=-1), rtol=0, atol=1e-12)
+
+
+ATTN_LIVE = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])  # source lengths 4, 2, 1
+
+
+def _attention_inputs(rng):
+    """q [B, A], keys [B, S, A], v [A], memory [B, S, C] and the additive
+    mask [B, S] of ``ATTN_LIVE``."""
+    batch, width = ATTN_LIVE.shape
+    return (rng.normal(size=(batch, 3)), rng.normal(size=(batch, width, 3)),
+            rng.normal(size=(3,)), rng.normal(size=(batch, width, 2)),
+            np.where(ATTN_LIVE == 1, 0.0, -1e9))
+
+
+@pytest.mark.parametrize("trial", range(TRIALS))
+def test_additive_attention_grads(trial):
+    rng = _rng(trial)
+    q, keys, v, memory, mask = _attention_inputs(rng)
+    sel = nd.Tensor(rng.normal(size=(len(q), 2)))
+
+    def loss_wrt(which):
+        def f(t):
+            args = {"q": q, "keys": keys, "v": v, "memory": memory}
+            args = {name: nd.Tensor(a) for name, a in args.items()} | {which: t}
+            return nd.sum_(nd.mul(nd.additive_attention(args["q"], args["keys"], args["v"],
+                                                        args["memory"], mask), sel))
+        return f
+
+    for name, var in [("q", q), ("keys", keys), ("v", v), ("memory", memory)]:
+        _check(loss_wrt(name), var)
+
+
+def test_additive_attention_forward_matches_textbook():
+    q, keys, v, memory, mask = _attention_inputs(_rng(0))
+    leaves = [nd.Tensor(a, requires_grad=True) for a in (q, keys, v, memory)]
+    out = nd.additive_attention(*leaves, mask)
+    for r, live in enumerate(ATTN_LIVE):
+        s = int(live.sum())
+        scores = np.array([np.tanh(keys[r, j] + q[r]) @ v for j in range(s)])
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        np.testing.assert_allclose(out.data[r], weights @ memory[r, :s], rtol=0, atol=1e-12)
+    # padded positions get exactly zero weight: their memory neither
+    # reaches the output nor receives a gradient
+    noisy = np.where(ATTN_LIVE[..., None] == 1, memory, 1e6)
+    np.testing.assert_array_equal(
+        nd.additive_attention(*(nd.Tensor(a) for a in (q, keys, v, noisy)), mask).data,
+        out.data)
+    nd.backward(nd.sum_(out))
+    np.testing.assert_array_equal(leaves[3].grad[ATTN_LIVE == 0], 0.0)
 
 
 LIVE = np.array([1, 0, 1])  # the middle row is dead
@@ -334,12 +391,24 @@ def test_constant_inputs_get_no_grad():
 def test_shape_errors_name_the_op():
     a = nd.Tensor(np.ones((2, 3)))
     b = nd.Tensor(np.ones((4, 5)))
-    with pytest.raises(nd.ShapeError, match="matmul"):
-        nd.matmul(a, b)
+    with pytest.raises(nd.ShapeError, match="scaled_dot_product"):
+        x = nd.Tensor(np.ones((2, 3, 4)))
+        nd.scaled_dot_product(x, x, x, heads=3)  # 3 heads do not divide 4 columns
     with pytest.raises(nd.ShapeError, match="add"):
         nd.add(a, b)
     with pytest.raises(nd.ShapeError, match="affine"):
         nd.affine(nd.Tensor(np.ones(7)), nd.Tensor(np.ones((3, 5))), nd.Tensor(np.ones(3)))
+
+
+def test_every_exported_op_has_a_caller():
+    # an op that no model, decoder or runner calls is dead code to delete
+    from test_acceptance import _NOT_OPS
+    from test_bench_hooks import _global_loads
+    from wugbench import decode, runner
+    from wugbench.seq2seq import lstm, model, transformer
+
+    called = set().union(*(_global_loads(m) for m in (model, lstm, transformer, decode, runner)))
+    assert sorted(set(nd.__all__) - _NOT_OPS - called) == []
 
 
 def test_grad_check_rejects_nonscalar():

@@ -299,6 +299,23 @@ def test_run_without_wugs_clears_earlier_wug_files(corpora, tmp_path):
     assert all(entry["rating_correlations"] == {} for entry in summary["models"].values())
 
 
+def test_retrain_clears_outputs_of_replaced_checkpoints(corpora, tmp_path):
+    config = _en_config(corpora, tmp_path, architectures=("bilstm_attn", "unilstm_noattn"),
+                        seeds=(1, 2), epochs=1)
+    run_train(config)
+    run_eval(config)
+    assert read_csv_rows(tmp_path / "accuracy.csv")
+    run_train(_en_config(corpora, tmp_path, architectures=("bilstm_attn",),
+                         seeds=(1, 2), epochs=3))
+    for name in ("accuracy.csv", "f1.csv", "ratings.csv", "correlations.csv",
+                 "productions.csv", "summary.json"):
+        assert not (tmp_path / name).exists(), name
+    summary = run_report(config)
+    assert summary["test_accuracy"] == {}
+    assert summary["models"]["bilstm_attn"]["test_accuracy"] == {}
+    assert set(summary["models"]) == {"bilstm_attn"}
+
+
 def test_staged_report_records_divergence(corpora, tmp_path, capsys):
     config = _en_config(corpora, tmp_path, architectures=("unilstm_noattn",),
                         lr=1e308, epochs=2)
