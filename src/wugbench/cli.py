@@ -18,6 +18,7 @@ from .ndiff import CheckpointError
 from .runner import (
     ExperimentConfig,
     RunnerError,
+    require_object,
     run_eval,
     run_experiment,
     run_report,
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     with open(args.config, encoding="utf-8") as fh:
         blob = json.load(fh)
+    require_object(blob)
     if args.arch:
         blob["architectures"] = [args.arch]
     if args.seeds is not None:

@@ -471,56 +471,72 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent cell
+# recurrent layer
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
-              live: np.ndarray | None = None) -> Tensor:
-    """One LSTM step over rows, fused: returns concat([h', c']) as [B, 2H].
+def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
+         live: np.ndarray | None = None, reverse: bool = False) -> Tensor:
+    """An LSTM over xs [B, T, Dx] from the state h, c [B, H], last step
+    first if ``reverse``: each step's state concat([h', c']) -> [B, T, 2H].
 
-    ``x`` is [B, Dx] and ``h``, ``c`` are [B, H]; ``w`` is [4H, Dx+H] with
-    gate order (input, forget, cell, output).  ``live`` is an optional 0/1
-    vector [B]: a dead row's output is its input state, and its gradient
-    passes straight through to ``h`` and ``c`` and reaches nothing else,
-    so a padded position leaves the state of its row untouched.  Fusing
-    the whole cell into one node keeps per-step graphs small.
+    ``w`` is [4H, Dx+H], gates ordered (input, forget, cell, output).  Where
+    the 0/1 mask ``live`` [B, T] is 0, a row keeps its state and passes the
+    gradient straight back.  One node: one ``[x, h]`` GEMM per step over
+    time-major scratch; the backward forms the input and weight gradients
+    as one GEMM each over all steps (Appleyard et al. 2016).
     """
     hsize = h.shape[-1]
-    if (x.ndim != 2 or h.shape != c.shape or h.shape != (x.shape[0], hsize)
-            or w.shape != (4 * hsize, x.shape[1] + hsize)):
-        raise ShapeError(f"lstm_cell: need x [B, Dx], h and c [B, H] and w [4H, Dx+H], "
-                         f"got {x.shape}, {h.shape}, {c.shape} and {w.shape}")
-    dead = None if live is None or np.all(live) else ~np.asarray(live, dtype=bool)[:, None]
-    xh = np.concatenate([x.data, h.data], axis=1)
-    z = xh @ w.data.T + b.data
-    zi, zf, zg, zo = np.split(z, 4, axis=1)
-    gi = 0.5 * (1.0 + np.tanh(0.5 * zi))
-    gf = 0.5 * (1.0 + np.tanh(0.5 * zf))
-    gg = np.tanh(zg)
-    go = 0.5 * (1.0 + np.tanh(0.5 * zo))
-    c2 = gf * c.data + gi * gg
-    t = np.tanh(c2)
-    h2 = go * t
-    if dead is not None:
-        h2 = np.where(dead, h.data, h2)
-        c2 = np.where(dead, c.data, c2)
-    data = np.concatenate([h2, c2], axis=1)
-
-    def vjp(g, xh=xh, gi=gi, gf=gf, gg=gg, go=go, t=t, dead=dead,
-            cdata=c.data, wdata=w.data, hsize=hsize, dx=x.shape[1]):
-        gh2, gc2 = g[:, :hsize], g[:, hsize:]
-        gc = gc2 + gh2 * go * (1.0 - t * t)
-        dzi = (gc * gg) * gi * (1.0 - gi)
-        dzf = (gc * cdata) * gf * (1.0 - gf)
-        dzg = (gc * gi) * (1.0 - gg * gg)
-        dzo = (gh2 * t) * go * (1.0 - go)
-        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
+    if (xs.ndim != 3 or not xs.shape[1] or not h.shape == c.shape == (xs.shape[0], hsize)
+            or w.shape != (4 * hsize, xs.shape[2] + hsize)
+            or live is not None and np.shape(live) != xs.shape[:2]):
+        raise ShapeError(f"lstm: incompatible shapes xs {xs.shape}, h {h.shape}, c {c.shape}, "
+                         f"w {w.shape} and live {np.shape(live)}")
+    batch, steps, dx = xs.shape
+    flip = slice(None, None, -1 if reverse else 1)  # positions in step order
+    dead = None if live is None or np.all(live) else ~np.asarray(live, dtype=bool).T[flip, :, None]
+    # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on the input, forget and output gates
+    half, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], hsize, axis=1)
+    xh = np.empty((steps, batch, dx + hsize))
+    xh[..., :dx] = xs.data.transpose(1, 0, 2)[flip]
+    gates, hc, tanh_c = (np.empty((steps, batch, n * hsize)) for n in (4, 2, 1))
+    hp, cp = h.data, c.data  # the state step s starts from
+    for s in range(steps):
+        xh[s, :, dx:] = hp
+        z = np.add(np.matmul(xh[s], w.data.T, out=gates[s]), b.data, out=gates[s])
+        np.tanh(np.multiply(z, half, out=z), out=z)
+        np.add(np.multiply(z, half, out=z), shift, out=z)
+        gi, gf, gg, go = z.reshape(batch, 4, hsize).swapaxes(0, 1)
+        c2 = np.multiply(gf, cp, out=hc[s, :, hsize:])
+        c2 += gi * gg
+        h2 = np.multiply(go, np.tanh(c2, out=tanh_c[s]), out=hc[s, :, :hsize])
         if dead is not None:
-            dz = np.where(dead, 0.0, dz)
-        gxh = dz @ wdata
-        gh, gc = gxh[:, dx:], gc * gf
-        if dead is not None:  # a dead row's output is its input state
-            gh, gc = np.where(dead, gh2, gh), np.where(dead, gc2, gc)
-        return (gxh[:, :dx], gh, gc, dz.T @ xh, dz.sum(axis=0))
+            np.copyto(h2, hp, where=dead[s])
+            np.copyto(c2, cp, where=dead[s])
+        hp, cp = h2, c2
+    data = np.ascontiguousarray(hc[flip].transpose(1, 0, 2))
 
-    return _node(data, (x, h, c, w, b), vjp)
+    def vjp(g, xh=xh, gates=gates, hc=hc, tanh_c=tanh_c, dead=dead, c0=c.data, wdata=w.data):
+        g = g.transpose(1, 0, 2)[flip]
+        dz = np.empty_like(gates)
+        ghc = 0.0  # the gradient of the state step s hands on
+        for s in reversed(range(steps)):
+            ghc = g[s] + ghc
+            gh2, gc2, tt = ghc[:, :hsize], ghc[:, hsize:], tanh_c[s]
+            gi, gf, gg, go = gates[s].reshape(batch, 4, hsize).swapaxes(0, 1)
+            gcell = gc2 + gh2 * go * (1.0 - tt * tt)
+            cp = hc[s - 1, :, hsize:] if s else c0
+            dz[s] = np.concatenate([gcell * gg * gi * (1.0 - gi),
+                                    gcell * cp * gf * (1.0 - gf),
+                                    gcell * gi * (1.0 - gg * gg),
+                                    gh2 * tt * go * (1.0 - go)], axis=1)
+            if dead is not None:
+                np.copyto(dz[s], 0.0, where=dead[s])
+            carry = np.concatenate([dz[s] @ wdata[:, dx:], gcell * gf], axis=1)
+            ghc = carry if dead is None else np.where(dead[s], ghc, carry)
+        # the input and weight gradients need no recurrence: one GEMM each
+        flat = dz.reshape(steps * batch, -1)
+        gx = (flat @ wdata[:, :dx]).reshape(steps, batch, dx)[flip].transpose(1, 0, 2)
+        return (gx, ghc[:, :hsize], ghc[:, hsize:], flat.T @ xh.reshape(steps * batch, -1),
+                flat.sum(axis=0))
+
+    return _node(data, (xs, h, c, w, b), vjp)

@@ -81,6 +81,12 @@ class RunnerError(Exception):
     """Configuration or orchestration problem."""
 
 
+def require_object(blob) -> None:
+    """Refuse a config whose top level is not a JSON object."""
+    if not isinstance(blob, dict):
+        raise RunnerError(f"config must be a JSON object, got {blob!r}")
+
+
 def _is_number(value) -> bool:
     """A finite int or float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -163,6 +169,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        require_object(d)
         d = dict(d)
         for key in ("split_ratios", "architectures", "seeds"):
             if key in d:

@@ -11,12 +11,15 @@ the encoder outputs with one ``additive_attention`` node per decoder step
 others reuse the final encoder state as a constant context, which is the
 only difference between the variants.
 
-Every pass steps rows, one per sequence, through one ``lstm_cell`` per
-timestep.  Teacher-forced work runs a batch of right-padded (source,
-target) pairs as one graph.  The encoder's rows are dead at padded
-positions: going forward a row carries its last real state to the end,
-going backward its zero start state waits for its last symbol.  Attention
-masks padded source positions; padded targets come last and get weight 0.
+Rows, one per sequence, run through ``lstm`` nodes: one per encoder layer
+and direction over the whole padded source, and one-step nodes in the
+decoder, whose input feeding makes each step wait for the last.
+Teacher-forced work runs a batch of right-padded (source, target) pairs as
+one graph.  The encoder's rows are dead at padded positions: going forward
+a row carries its last real state to the end, going backward its zero
+start state waits for its last symbol, so the final states sit at the last
+position and the first.  Attention masks padded source positions; padded
+targets come last and get weight 0.
 Decoding works the same way: ``_start`` runs many sources as one padded
 pass, and ``_step`` steps every greedy, sampled or beam hypothesis of every
 source as one row, attending over its own source's memory and padding mask.
@@ -36,7 +39,7 @@ from ..ndiff import (
     concat,
     dropout,
     embedding_lookup,
-    lstm_cell,
+    lstm,
     narrow,
     parameter,
     reshape,
@@ -60,22 +63,13 @@ class LSTMSeq2Seq(Seq2Seq):
 
         V, E, H, A = config.vocab_size, config.emb_dim, config.hidden_dim, config.attn_dim
 
-        def uniform(name: str, *shape: int) -> Tensor:
-            p = parameter(rng.uniform(-0.08, 0.08, size=shape))
-            self.params[name] = p
-            return p
+        def add(name: str, data) -> None:
+            self.params[name] = parameter(data)
 
-        def lstm_bias(name: str) -> Tensor:
-            b = np.zeros(4 * H)
-            b[H:2 * H] = 1.0  # forget gate starts open
-            p = parameter(b)
-            self.params[name] = p
-            return p
+        def uniform(name: str, *shape: int) -> None:
+            add(name, rng.uniform(-0.08, 0.08, size=shape))
 
-        def zeros(name: str, *shape: int) -> Tensor:
-            p = parameter(np.zeros(shape))
-            self.params[name] = p
-            return p
+        lstm_bias = np.repeat([0.0, 1.0, 0.0, 0.0], H)  # the forget gate starts open
 
         # creation order is fixed: it defines the init rng draw sequence
         uniform("emb.src", V, E)
@@ -85,64 +79,52 @@ class LSTMSeq2Seq(Seq2Seq):
             in_dim = E if layer == 0 else self.ctx_dim
             for d in directions:
                 uniform(f"enc.{layer}.{d}.w", 4 * H, in_dim + H)
-                lstm_bias(f"enc.{layer}.{d}.b")
+                add(f"enc.{layer}.{d}.b", lstm_bias)
         uniform("bridge.h.w", H, self.ctx_dim)
-        zeros("bridge.h.b", H)
+        add("bridge.h.b", np.zeros(H))
         uniform("bridge.c.w", H, self.ctx_dim)
-        zeros("bridge.c.b", H)
+        add("bridge.c.b", np.zeros(H))
         uniform("dec.w", 4 * H, E + self.ctx_dim + H)
-        lstm_bias("dec.b")
+        add("dec.b", lstm_bias)
         if self.attention:
             uniform("attn.query.w", A, H)
             uniform("attn.key.w", A, self.ctx_dim)
             uniform("attn.v", A)
         uniform("out.w", V, H + self.ctx_dim)
-        zeros("out.b", V)
+        add("out.b", np.zeros(V))
 
     # -- encoder -----------------------------------------------------------
-
-    def _sweep(self, xs, w: Tensor, b: Tensor, live: np.ndarray, reverse: bool):
-        """One LSTM direction over the step inputs xs, each [B, Dx], with
-        rows dead where ``live`` [T, B] is 0; returns (h per step, h, c)."""
-        H = self.config.hidden_dim
-        h = c = Tensor(np.zeros((xs[0].shape[0], H)))
-        out: list[Tensor | None] = [None] * len(xs)
-        steps = range(len(xs))
-        for t in (reversed(steps) if reverse else steps):
-            hc = lstm_cell(xs[t], h, c, w, b, live[t])
-            h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
-            out[t] = h
-        return out, h, c
 
     def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
         """Decoder start for padded source ids [B, S]: the rows' (h, c,
         context fed with the first input) and, attentional only, the
         memory [B, S, ctx_dim] and its pre-projected keys [B, S, attn_dim]."""
-        cfg = self.config
+        cfg, H = self.config, self.config.hidden_dim
         batch, width = src.shape
-        live = np.arange(width)[:, None] < src_len[None, :]
-        xs = [embedding_lookup(self.params["emb.src"], src[:, t]) for t in range(width)]
+        live = np.arange(width)[None, :] < src_len[:, None]
+        zero = Tensor(np.zeros((batch, H)))
+        xs = reshape(embedding_lookup(self.params["emb.src"], src.reshape(-1)),
+                     (batch, width, -1))
         directions = ("fwd", "bwd") if self.bidirectional else ("fwd",)
         for layer in range(cfg.enc_layers):
             if layer > 0:
-                xs = [dropout(x, cfg.dropout, train, rng) for x in xs]
-            outs, hs, cs = zip(*(
-                self._sweep(xs, self.params[f"enc.{layer}.{d}.w"],
-                            self.params[f"enc.{layer}.{d}.b"], live, reverse=d == "bwd")
-                for d in directions))
-            if self.bidirectional:
-                xs = [concat(pair, axis=1) for pair in zip(*outs)]
-                h_fin, c_fin = concat(hs, axis=1), concat(cs, axis=1)
-            else:
-                (xs,), (h_fin,), (c_fin,) = outs, hs, cs
+                xs = dropout(xs, cfg.dropout, train, rng)
+            outs = [lstm(xs, zero, zero, self.params[f"enc.{layer}.{d}.w"],
+                         self.params[f"enc.{layer}.{d}.b"], live, reverse=d == "bwd")
+                    for d in directions]
+            hs = [narrow(out, 2, 0, H) for out in outs]
+            xs = concat(hs, axis=2) if self.bidirectional else hs[0]
+        finals = [reshape(narrow(out, 1, 0 if d == "bwd" else width - 1, 1), (batch, 2 * H))
+                  for out, d in zip(outs, directions)]
+        h_fin, c_fin = (concat([narrow(f, 1, k * H, H) for f in finals], axis=1)
+                        for k in (0, 1))
         h0 = tanh(affine(h_fin, self.params["bridge.h.w"], self.params["bridge.h.b"]))
         c0 = tanh(affine(c_fin, self.params["bridge.c.w"], self.params["bridge.c.b"]))
         if not self.attention:
             return h0, c0, h_fin, None, None
-        rows = reshape(concat(xs, axis=1), (batch * width, self.ctx_dim))
-        keys = affine(rows, self.params["attn.key.w"])
-        return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))),
-                reshape(rows, (batch, width, -1)), reshape(keys, (batch, width, -1)))
+        keys = affine(reshape(xs, (batch * width, self.ctx_dim)), self.params["attn.key.w"])
+        return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))), xs,
+                reshape(keys, (batch, width, -1)))
 
     def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
         """The decoder start of every source as the rows of one state; the
@@ -156,9 +138,10 @@ class LSTMSeq2Seq(Seq2Seq):
     def _cell(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
               memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
         """Feed prev_ids [B] to every row; returns the rows' new (h, c, ctx)."""
-        H = self.config.hidden_dim
+        H, rows = self.config.hidden_dim, len(prev_ids)
         x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids), ctx], axis=1)
-        hc = lstm_cell(x, h, c, self.params["dec.w"], self.params["dec.b"])
+        hc = reshape(lstm(reshape(x, (rows, 1, -1)), h, c, self.params["dec.w"],
+                          self.params["dec.b"]), (rows, 2 * H))
         h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
         if self.attention:
             q = affine(h, self.params["attn.query.w"])

@@ -31,14 +31,14 @@ from oracles import (
     random_table_model,
     spearman_oracle,
 )
-from wugbench import corpus as cp
-from wugbench import ndiff as nd
-from wugbench.decode import beam_search, force_score, greedy_decode
-from wugbench.reference import (
+from reference import (
     PARAM_COUNT_TOLERANCE,
     PUBLISHED_PARAM_COUNTS,
     PUBLISHED_S_CLASS_RATING_RHO,
 )
+from wugbench import corpus as cp
+from wugbench import ndiff as nd
+from wugbench.decode import beam_search, force_score, greedy_decode
 from wugbench.runner import (
     ExperimentConfig,
     read_csv_rows,
@@ -124,13 +124,12 @@ def _op_suite(rng):
                                                  rng=nd.seeded_rng(13))), m34b),
     ]
 
-    # rows 1-2 of the lstm_cell batch, row 2 dead; drawn last so every other
-    # op keeps its inputs
+    # rows 1-2 of the lstm batch (of its first position, for lx and lsel);
+    # drawn before the attention inputs, which so keep their values
     lh = np.vstack([lh, rng.normal(size=(2, 2))])
     lc = np.vstack([lc, rng.normal(size=(2, 2))])
     lx = np.vstack([lx, rng.normal(size=(2, 4))])
     lsel = np.vstack([lsel, rng.normal(size=(2, 4))])
-    live = np.array([1, 1, 0])
 
     # attention as the transformer calls it: two heads, q, k, v [B, T, D]
     # drawn per head [B, heads, T, d_head] and merged, and a padded-key
@@ -165,16 +164,23 @@ def _op_suite(rng):
         return nd.sum_(nd.mul(nd.additive_attention(a["q"], a["keys"], a["v"], a["memory"],
                                                     pad_mask), T(dsel)))
 
-    def cell(**leaf):
-        a = {"x": T(lx), "h": T(lh), "c": T(lc), "w": T(lw), **leaf}
-        return nd.sum_(nd.mul(nd.lstm_cell(a["x"], a["h"], a["c"], a["w"], T(lb), live),
+    # the lstm over three positions, the rows above at the first; row 1 is
+    # dead at its last position and row 2 at its last two
+    lx = np.concatenate([lx[:, None], rng.normal(size=(3, 2, 4))], axis=1)
+    lsel = np.concatenate([lsel[:, None], rng.normal(size=(3, 2, 4))], axis=1)
+    live = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+
+    def recur(reverse=False, **leaf):
+        a = {"xs": T(lx), "h": T(lh), "c": T(lc), "w": T(lw), **leaf}
+        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["h"], a["c"], a["w"], T(lb), live, reverse),
                               T(lsel)))
 
     return ops + [
-        ("lstm_cell", lambda t: cell(w=t), lw),
-        ("lstm_cell-x", lambda t: cell(x=t), lx),
-        ("lstm_cell-h", lambda t: cell(h=t), lh),
-        ("lstm_cell-c", lambda t: cell(c=t), lc),
+        ("lstm", lambda t: recur(w=t), lw),
+        ("lstm-x", lambda t: recur(xs=t), lx),
+        ("lstm-h", lambda t: recur(h=t), lh),
+        ("lstm-c", lambda t: recur(c=t), lc),
+        ("lstm-reverse", lambda t: recur(True, w=t), lw),
         ("scaled_dot_product-padded-q", lambda t: attend(q=t), aq),
         ("scaled_dot_product-padded-k", lambda t: attend(k=t), akv),
         ("scaled_dot_product-padded-v", lambda t: attend(v=t), akv),

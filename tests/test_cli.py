@@ -75,6 +75,15 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     assert main(["train", "--config", str(bad)]) == 1
+    capsys.readouterr()
+
+    # a top level that is not an object is refused, before any flag applies
+    for blob in ("[1]", "5", "null", '"x"'):
+        bad.write_text(blob, encoding="utf-8")
+        for flags in ([], ["--arch", "unilstm_noattn"]):
+            assert main(["train", "--config", str(bad), *flags]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: config must be a JSON object, got {json.loads(blob)!r}\n"
 
     missing_data = tmp_path / "missing.json"
     missing_data.write_text(json.dumps({

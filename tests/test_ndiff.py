@@ -255,63 +255,93 @@ def test_additive_attention_forward_matches_textbook():
     np.testing.assert_array_equal(leaves[3].grad[ATTN_LIVE == 0], 0.0)
 
 
-LIVE = np.array([1, 0, 1])  # the middle row is dead
+# rows dead at their trailing positions: the middle row's last, the last
+# row's last two
+LSTM_LIVE = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
-@pytest.mark.parametrize("trial", range(TRIALS))
-def test_lstm_cell_grads(trial):
-    rng = _rng(trial)
-    batch, dx, dh = len(LIVE), 4, 3
-    x = nd.Tensor(rng.normal(size=(batch, dx)), requires_grad=True)
-    h = nd.Tensor(rng.normal(size=(batch, dh)), requires_grad=True)
-    c = nd.Tensor(rng.normal(size=(batch, dh)), requires_grad=True)
-    w = nd.Tensor(rng.normal(size=(4 * dh, dx + dh)) * 0.5, requires_grad=True)
-    b = nd.Tensor(rng.normal(size=(4 * dh,)), requires_grad=True)
-    sel = nd.Tensor(rng.normal(size=(batch, 2 * dh)))
-
-    def loss_wrt(which):
-        def f(t):
-            args = {"x": x, "h": h, "c": c, "w": w, "b": b}
-            args[which] = t
-            return nd.sum_(nd.mul(nd.lstm_cell(args["x"], args["h"], args["c"],
-                                               args["w"], args["b"], LIVE), sel))
-        return f
-
-    for name, var in [("x", x), ("h", h), ("c", c), ("w", w), ("b", b)]:
-        _check(loss_wrt(name), var)
-
-    # the dead row's gradient passes straight through to its state
-    for var in (x, h, c):
-        var.grad = None
-    nd.backward(loss_wrt("x")(x))
-    np.testing.assert_array_equal(h.grad[1], sel.data[1, :dh])
-    np.testing.assert_array_equal(c.grad[1], sel.data[1, dh:])
-    np.testing.assert_array_equal(x.grad[1], 0.0)
+def _lstm_inputs(rng, dx):
+    batch, steps = LSTM_LIVE.shape
+    dh = 2
+    return (rng.normal(size=(batch, steps, dx)), rng.normal(size=(batch, dh)),
+            rng.normal(size=(batch, dh)), rng.normal(size=(4 * dh, dx + dh)) * 0.5,
+            rng.normal(size=(4 * dh,)))
 
 
-def test_lstm_cell_forward_matches_textbook():
-    rng = _rng(0)
-    batch, dx, dh = len(LIVE), 3, 2
-    x = nd.Tensor(rng.normal(size=(batch, dx)))
-    h = nd.Tensor(rng.normal(size=(batch, dh)))
-    c = nd.Tensor(rng.normal(size=(batch, dh)))
-    w = nd.Tensor(rng.normal(size=(4 * dh, dx + dh)))
-    b = nd.Tensor(rng.normal(size=(4 * dh,)))
-    out = nd.lstm_cell(x, h, c, w, b, LIVE).data
-
+def _textbook_step(x, h, c, w, b):
+    """One LSTM step of one row, from the published equations."""
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    for r in (0, 2):
-        z = w.data @ np.concatenate([x.data[r], h.data[r]]) + b.data
-        i, f, g, o = z[:dh], z[dh:2 * dh], z[2 * dh:3 * dh], z[3 * dh:]
-        c2 = sig(f) * c.data[r] + sig(i) * np.tanh(g)
-        h2 = sig(o) * np.tanh(c2)
-        np.testing.assert_allclose(out[r], np.concatenate([h2, c2]), atol=1e-12)
-    # a dead row's output is its input state, bit for bit
-    np.testing.assert_array_equal(out[1], np.concatenate([h.data[1], c.data[1]]))
-    # without a mask every row is live
-    np.testing.assert_array_equal(nd.lstm_cell(x, h, c, w, b).data[[0, 2]], out[[0, 2]])
+    dh = len(h)
+    z = w @ np.concatenate([x, h]) + b
+    i, f, g, o = z[:dh], z[dh:2 * dh], z[2 * dh:3 * dh], z[3 * dh:]
+    c2 = sig(f) * c + sig(i) * np.tanh(g)
+    return sig(o) * np.tanh(c2), c2
+
+
+@pytest.mark.parametrize("trial", range(TRIALS))
+def test_lstm_grads(trial):
+    rng = _rng(trial)
+    leaves = {k: nd.Tensor(a, requires_grad=True)
+              for k, a in zip(("xs", "h", "c", "w", "b"), _lstm_inputs(rng, dx=4))}
+    sel = rng.normal(size=(*LSTM_LIVE.shape, 4))
+
+    def loss(sel, reverse, **leaf):
+        a = {**leaves, **leaf}
+        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["h"], a["c"], a["w"], a["b"], LSTM_LIVE,
+                                      reverse), nd.Tensor(sel)))
+
+    for reverse in (False, True):
+        for name, var in leaves.items():
+            _check(lambda t: loss(sel, reverse, **{name: t}), var)
+
+    def grads(sel, reverse):
+        for var in leaves.values():
+            var.grad = None
+        nd.backward(loss(sel, reverse))
+        return {name: var.grad for name, var in leaves.items()}
+
+    # going forward, the middle row's dead last position holds the state of
+    # the position before it, and so passes its gradient straight there
+    moved = sel.copy()
+    moved[1, 1] += moved[1, 2]
+    moved[1, 2] = 0.0
+    for name, g in grads(sel, False).items():
+        np.testing.assert_array_equal(g, grads(moved, False)[name], err_msg=name)
+    # going backward, a dead position holds the start state: a gradient on
+    # it alone reaches the start state and nothing else
+    only = np.zeros_like(sel)
+    only[2, 1:] = sel[2, 1:]
+    got = grads(only, True)
+    np.testing.assert_array_equal(got["h"][2], sel[2, 1, :2] + sel[2, 2, :2])
+    np.testing.assert_array_equal(got["c"][2], sel[2, 1, 2:] + sel[2, 2, 2:])
+    np.testing.assert_array_equal(np.delete(got["h"], 2, axis=0), 0.0)
+    for name in ("xs", "w", "b"):
+        np.testing.assert_array_equal(got[name], 0.0, err_msg=name)
+
+
+def test_lstm_forward_matches_textbook():
+    xs, h, c, w, b = _lstm_inputs(_rng(0), dx=3)
+    for reverse in (False, True):
+        out = nd.lstm(*(nd.Tensor(a) for a in (xs, h, c, w, b)), LSTM_LIVE, reverse).data
+        for r, live in enumerate(LSTM_LIVE):
+            n = int(live.sum())
+            state = h[r], c[r]
+            for t in (range(n - 1, -1, -1) if reverse else range(n)):
+                state = _textbook_step(xs[r, t], *state, w, b)
+                np.testing.assert_allclose(out[r, t], np.concatenate(state), rtol=0, atol=1e-12)
+            # a dead position keeps the state it was handed, bit for bit:
+            # going forward the row's last real one, going backward the start
+            held = out[r, n - 1] if not reverse else np.concatenate([h[r], c[r]])
+            for t in range(n, len(live)):
+                np.testing.assert_array_equal(out[r, t], held)
+    # one step without a mask: every row is live and takes one textbook step
+    for reverse in (False, True):
+        out = nd.lstm(*(nd.Tensor(a) for a in (xs[:, :1], h, c, w, b)), reverse=reverse).data
+        for r in range(len(xs)):
+            np.testing.assert_allclose(out[r, 0], np.concatenate(
+                _textbook_step(xs[r, 0], h[r], c[r], w, b)), rtol=0, atol=1e-12)
 
 
 def test_dropout_grads_and_scaling():
@@ -398,6 +428,9 @@ def test_shape_errors_name_the_op():
         nd.add(a, b)
     with pytest.raises(nd.ShapeError, match="affine"):
         nd.affine(nd.Tensor(np.ones(7)), nd.Tensor(np.ones((3, 5))), nd.Tensor(np.ones(3)))
+    with pytest.raises(nd.ShapeError, match="lstm"):
+        nd.lstm(nd.Tensor(np.ones((2, 3, 4))), a, a, nd.Tensor(np.ones((12, 7))),
+                nd.Tensor(np.ones(12)), np.ones((3, 2)))  # live is [T, B], not [B, T]
 
 
 def test_every_exported_op_has_a_caller():

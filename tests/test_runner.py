@@ -139,6 +139,12 @@ def test_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"out_dir": "x", "dataset": "d", "leraning_rate": 1})
 
 
+@pytest.mark.parametrize("blob", [[1], 5, None, "x"])
+def test_config_from_dict_rejects_a_non_object(blob):
+    with pytest.raises(RunnerError, match="config must be a JSON object"):
+        ExperimentConfig.from_dict(blob)
+
+
 @pytest.mark.parametrize("key,value", [
     ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -0.001), ("lr", "0.1"),
     ("clip_norm", float("nan")), ("clip_norm", float("inf")), ("clip_norm", 0.0),

@@ -204,6 +204,19 @@ def test_transformer_training_graph_size():
     assert interior_nodes(loss) <= 260
 
 
+@pytest.mark.parametrize("arch", LSTM_ARCHITECTURES)
+def test_lstm_training_graph_size(arch):
+    # one lstm node per direction and layer runs the whole source, so the
+    # training graph does not grow with the source width
+    model = tiny_model(arch, vocab=12)
+    tgts = [[7, 8, 2], [6, 10, 11, 3, 2]]
+    sizes = [
+        interior_nodes(model.batch_loss(list(zip(srcs, tgts)), rng=np.random.default_rng(0)))
+        for srcs in ([[3, 4, 5, 6], [5, 9]], [[3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 4, 5], [5, 9]])
+    ]
+    assert sizes[0] == sizes[1], sizes
+
+
 def test_transformer_checkpoint_size(tmp_path):
     # a binary checkpoint is its float64 payload plus zip and .npy headers;
     # a text format would be about 2.7 times the payload
