@@ -7,8 +7,9 @@ accumulates gradients into the ``grad`` field of every leaf it reaches
 ``grad`` at ``None``.  Inference code should wrap calls in ``no_grad()``
 to skip recording.
 
-Arrays are always C-contiguous float64.  There is no GPU path and no
-higher-order differentiation.
+Arrays are float64 but not always C-contiguous: ``narrow`` returns
+strided views, and every op reads its inputs through any strides.
+There is no GPU path and no higher-order differentiation.
 """
 
 from __future__ import annotations
@@ -233,29 +234,28 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w.T + b`` row-wise for rows x [B, in].
+    """``x @ w.T + b`` over the last axis of x [..., in] -> [..., out].
 
     ``w`` is stored [out, in]; this is the fused linear layer used by every
-    architecture, kept primitive to cut graph size.
+    architecture, kept primitive to cut graph size.  The leading axes run
+    as the rows of one GEMM, forward and backward.
     """
     if w.ndim != 2:
         raise ShapeError(f"affine: weight must be 2-D, got {w.shape}")
-    if x.ndim != 2:
-        raise ShapeError(f"affine: input must be 2-D, got {x.shape}")
-    if x.shape[1] != w.shape[1]:
+    if x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
-    data = x.data @ w.data.T
+    rows = x.data.reshape(-1, w.shape[1])
+    data = rows @ w.data.T
     if b is not None:
         data = data + b.data
 
-    def vjp(g, x=x, w=w, with_bias=b is not None):
-        gx = g @ w.data
-        gw = g.T @ x.data
-        gb = g.sum(axis=0) if with_bias else None
-        return (gx, gw, gb) if with_bias else (gx, gw)
-
     parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, vjp)
+
+    def vjp(g, rows=rows, w=w, shape=x.shape, n=len(parents)):
+        g = g.reshape(len(rows), w.shape[0])
+        return ((g @ w.data).reshape(shape), g.T @ rows, g.sum(axis=0))[:n]
+
+    return _node(data.reshape(*x.shape[:-1], w.shape[0]), parents, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +307,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 # lookups
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Rows of ``table`` selected by integer ids -> [len(ids), dim]."""
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of ``table`` selected by integer ids of any shape -> [*ids.shape, dim]."""
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ContractError(f"embedding_lookup: ids must be 1-D, got shape {idx.shape}")
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
     data = table.data[idx]
@@ -435,26 +433,27 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None 
 def additive_attention(q: Tensor, keys: Tensor, v: Tensor, memory: Tensor,
                        mask: np.ndarray) -> Tensor:
     """softmax(tanh(keys + q) v + mask) memory, the additive attention
-    (Bahdanau et al. 2015) of rows q [B, A] over keys [B, S, A] and memory
-    [B, S, C] scored by v [A] -> [B, C]; ``mask`` [B, S] is an additive
-    array and is not differentiated.  One node with a closed-form backward."""
-    if (keys.ndim != 3 or q.shape != keys.shape[::2] or v.shape != keys.shape[2:]
-            or memory.ndim != 3 or not np.shape(mask) == keys.shape[:2] == memory.shape[:2]):
+    (Bahdanau et al. 2015) of queries q [B, Tq, A] over keys [B, S, A] and
+    memory [B, S, C] scored by v [A] -> [B, Tq, C]; ``mask`` [B, S] is
+    additive and not differentiated.  One node with a closed-form backward."""
+    if (q.ndim != 3 or keys.ndim != 3 or q.shape[::2] != keys.shape[::2]
+            or v.shape != keys.shape[2:] or memory.ndim != 3
+            or not np.shape(mask) == keys.shape[:2] == memory.shape[:2]):
         raise ShapeError(f"additive_attention: incompatible shapes {q.shape}, {keys.shape}, "
                          f"{v.shape}, {memory.shape} and mask {np.shape(mask)}")
-    e = np.tanh(keys.data + q.data[:, None, :])
+    e = np.tanh(keys.data[:, None] + q.data[:, :, None])  # [B, Tq, S, A]
     vcol = v.data.reshape(-1, 1)
-    scores = np.matmul(e, vcol)[..., 0] + mask
+    scores = np.matmul(e, vcol)[..., 0] + mask[:, None]
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = (w / w.sum(axis=-1, keepdims=True))[:, None, :]
-    data = np.matmul(w, memory.data)[:, 0]
+    w = w / w.sum(axis=-1, keepdims=True)
+    data = np.matmul(w, memory.data)
 
     def vjp(g, e=e, vcol=vcol, w=w, mdata=memory.data):
-        g = g[:, None, :]
         gw = np.matmul(g, mdata.swapaxes(-1, -2))
-        gs = (w * (gw - (gw * w).sum(axis=-1, keepdims=True))).reshape(*e.shape[:2], 1)
+        gs = (w * (gw - (gw * w).sum(axis=-1, keepdims=True)))[..., None]
         gpre = np.matmul(gs, vcol.T) * (1.0 - e * e)
-        return (gpre.sum(axis=1), gpre, np.matmul(e.swapaxes(-1, -2), gs).sum(axis=0)[:, 0],
+        return (gpre.sum(axis=2), gpre.sum(axis=1),
+                np.matmul(e.swapaxes(-1, -2), gs).sum(axis=(0, 1))[:, 0],
                 np.matmul(w.swapaxes(-1, -2), g))
 
     return _node(data, (q, keys, v, memory), vjp)
@@ -474,10 +473,10 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 # recurrent layer
 
 
-def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
+def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
          live: np.ndarray | None = None, reverse: bool = False) -> Tensor:
-    """An LSTM over xs [B, T, Dx] from the state h, c [B, H], last step
-    first if ``reverse``: each step's state concat([h', c']) -> [B, T, 2H].
+    """An LSTM over xs [B, T, Dx] from the state concat([h, c]) [B, 2H],
+    last step first if ``reverse``: each step's state so laid out -> [B, T, 2H].
 
     ``w`` is [4H, Dx+H], gates ordered (input, forget, cell, output).  Where
     the 0/1 mask ``live`` [B, T] is 0, a row keeps its state and passes the
@@ -485,11 +484,11 @@ def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     time-major scratch; the backward forms the input and weight gradients
     as one GEMM each over all steps (Appleyard et al. 2016).
     """
-    hsize = h.shape[-1]
-    if (xs.ndim != 3 or not xs.shape[1] or not h.shape == c.shape == (xs.shape[0], hsize)
+    hsize = state.shape[-1] // 2
+    if (xs.ndim != 3 or not xs.shape[1] or state.shape != (xs.shape[0], 2 * hsize)
             or w.shape != (4 * hsize, xs.shape[2] + hsize)
             or live is not None and np.shape(live) != xs.shape[:2]):
-        raise ShapeError(f"lstm: incompatible shapes xs {xs.shape}, h {h.shape}, c {c.shape}, "
+        raise ShapeError(f"lstm: incompatible shapes xs {xs.shape}, state {state.shape}, "
                          f"w {w.shape} and live {np.shape(live)}")
     batch, steps, dx = xs.shape
     flip = slice(None, None, -1 if reverse else 1)  # positions in step order
@@ -499,7 +498,7 @@ def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     xh = np.empty((steps, batch, dx + hsize))
     xh[..., :dx] = xs.data.transpose(1, 0, 2)[flip]
     gates, hc, tanh_c = (np.empty((steps, batch, n * hsize)) for n in (4, 2, 1))
-    hp, cp = h.data, c.data  # the state step s starts from
+    hp, cp = state.data[:, :hsize], state.data[:, hsize:]  # the state step s starts from
     for s in range(steps):
         xh[s, :, dx:] = hp
         z = np.add(np.matmul(xh[s], w.data.T, out=gates[s]), b.data, out=gates[s])
@@ -515,7 +514,7 @@ def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         hp, cp = h2, c2
     data = np.ascontiguousarray(hc[flip].transpose(1, 0, 2))
 
-    def vjp(g, xh=xh, gates=gates, hc=hc, tanh_c=tanh_c, dead=dead, c0=c.data, wdata=w.data):
+    def vjp(g, xh=xh, gates=gates, hc=hc, tanh_c=tanh_c, dead=dead, s0=state.data, wdata=w.data):
         g = g.transpose(1, 0, 2)[flip]
         dz = np.empty_like(gates)
         ghc = 0.0  # the gradient of the state step s hands on
@@ -524,7 +523,7 @@ def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
             gh2, gc2, tt = ghc[:, :hsize], ghc[:, hsize:], tanh_c[s]
             gi, gf, gg, go = gates[s].reshape(batch, 4, hsize).swapaxes(0, 1)
             gcell = gc2 + gh2 * go * (1.0 - tt * tt)
-            cp = hc[s - 1, :, hsize:] if s else c0
+            cp = hc[s - 1, :, hsize:] if s else s0[:, hsize:]
             dz[s] = np.concatenate([gcell * gg * gi * (1.0 - gi),
                                     gcell * cp * gf * (1.0 - gf),
                                     gcell * gi * (1.0 - gg * gg),
@@ -536,7 +535,6 @@ def lstm(xs: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         # the input and weight gradients need no recurrence: one GEMM each
         flat = dz.reshape(steps * batch, -1)
         gx = (flat @ wdata[:, :dx]).reshape(steps, batch, dx)[flip].transpose(1, 0, 2)
-        return (gx, ghc[:, :hsize], ghc[:, hsize:], flat.T @ xh.reshape(steps * batch, -1),
-                flat.sum(axis=0))
+        return gx, ghc, flat.T @ xh.reshape(steps * batch, -1), flat.sum(axis=0)
 
-    return _node(data, (xs, h, c, w, b), vjp)
+    return _node(data, (xs, state, w, b), vjp)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -144,6 +145,11 @@ class ExperimentConfig:
             if not all(isinstance(v, int) and not isinstance(v, bool) and v >= low
                        for v in (value if name == "seeds" else (value,))):
                 raise RunnerError(f"{name} takes integers >= {low}, got {value!r}")
+        for name in ("architectures", "seeds"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise RunnerError(f"{name} lists {repeated} more than once")
         for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
             if not (_is_number(value) and value > 0):
                 raise RunnerError(f"{name} must be a finite number > 0, got {value!r}")
@@ -853,12 +859,19 @@ def run_report(config: ExperimentConfig, merge_dirs: Sequence[str] = ()) -> dict
 
     ``models`` describes the units of ``out_dir`` alone, keyed by
     architecture; ``test_accuracy`` and ``test_f1`` (keyed 'lang/model')
-    and ``grid`` cover every merged directory."""
+    and ``grid`` cover every merged directory.  A (lang, model, seed) unit
+    in two directories would count its seed twice in every sd: refused."""
     dirs = [Path(config.out_dir), *map(Path, merge_dirs)]
     tables = [{name: read_csv_rows(d / name) if (d / name).exists() else []
                for name in REPORT_INPUTS} for d in dirs]
     if not any(t["units.csv"] or t["accuracy.csv"] for t in tables):
         raise RunnerError(f"no units.csv or accuracy.csv rows under {[str(d) for d in dirs]}")
+    units = Counter(unit for t in tables for unit in {
+        f'{r["lang"]}/{r["model"]}/seed{r["seed"]}'
+        for name in ("units.csv", "accuracy.csv", "f1.csv") for r in t[name]})
+    repeated = sorted(unit for unit, n in units.items() if n > 1)
+    if repeated:
+        raise RunnerError(f"units in more than one merged directory: {repeated}")
     own = tables[0]
     merged = {name: [row for t in tables for row in t[name]] for name in REPORT_INPUTS}
 

@@ -44,7 +44,8 @@ class ModelConfig:
             raise ValueError("vocab_size must cover pad/start/end plus at least one symbol")
         sizes = ("emb_dim", "hidden_dim", "attn_dim", "enc_layers", "d_model", "ffn_dim",
                  "heads", "enc_blocks", "dec_blocks")
-        bad = [n for n in sizes if not (isinstance(getattr(self, n), int) and getattr(self, n) >= 1)]
+        # type, not isinstance: True and False are ints too
+        bad = [n for n in sizes if type(getattr(self, n)) is not int or getattr(self, n) < 1]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be integers >= 1")
         if self.d_model % self.heads != 0:

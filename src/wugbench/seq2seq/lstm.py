@@ -13,7 +13,9 @@ only difference between the variants.
 
 Rows, one per sequence, run through ``lstm`` nodes: one per encoder layer
 and direction over the whole padded source, and one-step nodes in the
-decoder, whose input feeding makes each step wait for the last.
+decoder, whose input feeding makes each step wait for the last.  The
+decoder works in [rows, 1, ·], a one-position sequence, and carries each
+row's state as the ``lstm`` layout concat([h, c]) [rows, 2H].
 Teacher-forced work runs a batch of right-padded (source, target) pairs as
 one graph.  The encoder's rows are dead at padded positions: going forward
 a row carries its last real state to the end, going backward its zero
@@ -56,9 +58,9 @@ class LSTMSeq2Seq(Seq2Seq):
         if config.arch == "transformer":
             raise ValueError("transformer config passed to the LSTM family")
         self.config = config
-        self.bidirectional = config.bidirectional
+        self.directions = ("fwd", "bwd") if config.bidirectional else ("fwd",)
         self.attention = config.attention
-        self.ctx_dim = config.hidden_dim * (2 if self.bidirectional else 1)
+        self.ctx_dim = config.hidden_dim * len(self.directions)
         self.params: dict[str, Tensor] = {}
 
         V, E, H, A = config.vocab_size, config.emb_dim, config.hidden_dim, config.attn_dim
@@ -74,10 +76,9 @@ class LSTMSeq2Seq(Seq2Seq):
         # creation order is fixed: it defines the init rng draw sequence
         uniform("emb.src", V, E)
         uniform("emb.tgt", V, E)
-        directions = ("fwd", "bwd") if self.bidirectional else ("fwd",)
         for layer in range(config.enc_layers):
             in_dim = E if layer == 0 else self.ctx_dim
-            for d in directions:
+            for d in self.directions:
                 uniform(f"enc.{layer}.{d}.w", 4 * H, in_dim + H)
                 add(f"enc.{layer}.{d}.b", lstm_bias)
         uniform("bridge.h.w", H, self.ctx_dim)
@@ -96,75 +97,76 @@ class LSTMSeq2Seq(Seq2Seq):
     # -- encoder -----------------------------------------------------------
 
     def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
-        """Decoder start for padded source ids [B, S]: the rows' (h, c,
-        context fed with the first input) and, attentional only, the
-        memory [B, S, ctx_dim] and its pre-projected keys [B, S, attn_dim]."""
+        """Decoder start for padded source ids [B, S]: the rows' state
+        concat([h, c]) [B, 2H] and the context [B, 1, ctx_dim] fed with the
+        first input, then, attentional only, the memory [B, S, ctx_dim] and
+        its pre-projected keys [B, S, attn_dim]."""
         cfg, H = self.config, self.config.hidden_dim
         batch, width = src.shape
         live = np.arange(width)[None, :] < src_len[:, None]
-        zero = Tensor(np.zeros((batch, H)))
-        xs = reshape(embedding_lookup(self.params["emb.src"], src.reshape(-1)),
-                     (batch, width, -1))
-        directions = ("fwd", "bwd") if self.bidirectional else ("fwd",)
+        zero = Tensor(np.zeros((batch, 2 * H)))
+        xs = embedding_lookup(self.params["emb.src"], src)
         for layer in range(cfg.enc_layers):
             if layer > 0:
                 xs = dropout(xs, cfg.dropout, train, rng)
-            outs = [lstm(xs, zero, zero, self.params[f"enc.{layer}.{d}.w"],
+            outs = [lstm(xs, zero, self.params[f"enc.{layer}.{d}.w"],
                          self.params[f"enc.{layer}.{d}.b"], live, reverse=d == "bwd")
-                    for d in directions]
-            hs = [narrow(out, 2, 0, H) for out in outs]
-            xs = concat(hs, axis=2) if self.bidirectional else hs[0]
-        finals = [reshape(narrow(out, 1, 0 if d == "bwd" else width - 1, 1), (batch, 2 * H))
-                  for out, d in zip(outs, directions)]
-        h_fin, c_fin = (concat([narrow(f, 1, k * H, H) for f in finals], axis=1)
-                        for k in (0, 1))
+                    for d in self.directions]
+            xs = _joined([narrow(out, 2, 0, H) for out in outs])
+        finals = [narrow(out, 1, 0 if d == "bwd" else width - 1, 1)
+                  for out, d in zip(outs, self.directions)]
+        h_fin, c_fin = (_joined([narrow(f, 2, k * H, H) for f in finals]) for k in (0, 1))
         h0 = tanh(affine(h_fin, self.params["bridge.h.w"], self.params["bridge.h.b"]))
         c0 = tanh(affine(c_fin, self.params["bridge.c.w"], self.params["bridge.c.b"]))
+        state = reshape(concat([h0, c0], axis=2), (batch, 2 * H))
         if not self.attention:
-            return h0, c0, h_fin, None, None
-        keys = affine(reshape(xs, (batch * width, self.ctx_dim)), self.params["attn.key.w"])
-        return (h0, c0, Tensor(np.zeros((batch, self.ctx_dim))), xs,
-                reshape(keys, (batch, width, -1)))
+            return state, h_fin, None, None
+        return (state, Tensor(np.zeros((batch, 1, self.ctx_dim))), xs,
+                affine(xs, self.params["attn.key.w"]))
 
     def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
         """The decoder start of every source as the rows of one state; the
         attentional memory, keys and padding mask are shared per source."""
-        h, c, ctx, memory, keys = self._encode(src, src_len, False, None)
+        state, ctx, memory, keys = self._encode(src, src_len, False, None)
         shared = (memory.data, keys.data, mask) if self.attention else ()
-        return DecodeState(np.arange(len(src)), (h.data, c.data, ctx.data), shared)
+        return DecodeState(np.arange(len(src)), (state.data, ctx.data), shared)
 
     # -- decoder -----------------------------------------------------------
 
-    def _cell(self, prev_ids: np.ndarray, h: Tensor, c: Tensor, ctx: Tensor,
+    def _cell(self, prev_ids: np.ndarray, state: Tensor, ctx: Tensor,
               memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
-        """Feed prev_ids [B] to every row; returns the rows' new (h, c, ctx)."""
-        H, rows = self.config.hidden_dim, len(prev_ids)
-        x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids), ctx], axis=1)
-        hc = reshape(lstm(reshape(x, (rows, 1, -1)), h, c, self.params["dec.w"],
-                          self.params["dec.b"]), (rows, 2 * H))
-        h, c = narrow(hc, 1, 0, H), narrow(hc, 1, H, H)
+        """Feed prev_ids [N] to every row; returns the rows' new state
+        [N, 2H], their h [N, 1, H] and their context [N, 1, ctx_dim]."""
+        H = self.config.hidden_dim
+        x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids[:, None]), ctx], axis=2)
+        out = lstm(x, state, self.params["dec.w"], self.params["dec.b"])
+        h = narrow(out, 2, 0, H)
         if self.attention:
             q = affine(h, self.params["attn.query.w"])
             ctx = additive_attention(q, keys, self.params["attn.v"], memory, mask)
-        return h, c, ctx
+        return reshape(out, (len(prev_ids), 2 * H)), h, ctx
 
     def _step(self, state: DecodeState, prev_ids: np.ndarray):
         memory = keys = mask = None
         if self.attention:
             memory, keys, mask = (a[state.src] for a in state.shared)
             memory, keys = Tensor(memory), Tensor(keys)
-        h, c, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, mask)
-        logits = affine(concat([h, ctx], axis=1), self.params["out.w"], self.params["out.b"])
-        return logits, replace(state, rows=(h.data, c.data, ctx.data))
+        hc, h, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, mask)
+        logits = affine(concat([h, ctx], axis=2), self.params["out.w"], self.params["out.b"])
+        return logits, replace(state, rows=(hc.data, ctx.data))
 
     # -- teacher forcing ---------------------------------------------------
 
     def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
-        h, c, ctx, memory, keys = self._encode(src, src_len, train, rng)
+        state, ctx, memory, keys = self._encode(src, src_len, train, rng)
         feats = []
         for prev in tgt_in.T:
-            h, c, ctx = self._cell(prev, h, c, ctx, memory, keys, mask)
-            feats.append(concat([h, ctx], axis=1))
-        f = reshape(concat(feats, axis=1), (tgt_in.size, -1))
-        f = dropout(f, self.config.dropout, train, rng)
+            state, h, ctx = self._cell(prev, state, ctx, memory, keys, mask)
+            feats.append(concat([h, ctx], axis=2))
+        f = dropout(concat(feats, axis=1), self.config.dropout, train, rng)
         return affine(f, self.params["out.w"], self.params["out.b"])
+
+
+def _joined(parts: list[Tensor]) -> Tensor:
+    """The directions' parts side by side on the last axis."""
+    return concat(parts, axis=2) if len(parts) > 1 else parts[0]

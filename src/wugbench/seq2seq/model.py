@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..corpus import BOS, PAD
-from ..ndiff import Tensor, gather, log_softmax, mul, no_grad, softmax, sum_
+from ..ndiff import Tensor, gather, log_softmax, mul, no_grad, reshape, softmax, sum_
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
@@ -90,13 +90,14 @@ class DecodeState:
 
 
 class Seq2Seq:
-    """The protocol around a subclass's network, which it writes as hooks:
+    """The protocol around a subclass's network, which it writes as hooks
+    (they keep the position axis, and only this class flattens it):
 
     - ``_start(src, src_len, mask) -> DecodeState``: the decoder start of
       padded source ids [B, S] with lengths [B] and additive mask [B, S]
-    - ``_step(state, prev_ids) -> (logits [N, V], state)``: feed prev_ids
-      [N] to every row
-    - ``_forced(src, src_len, mask, tgt_in, train, rng) -> logits [B*T, V]``:
+    - ``_step(state, prev_ids) -> (logits [N, 1, V], state)``: feed
+      prev_ids [N] to every row
+    - ``_forced(src, src_len, mask, tgt_in, train, rng) -> logits [B, T, V]``:
       the teacher-forced pass over decoder inputs tgt_in [B, T]
     """
 
@@ -108,14 +109,14 @@ class Seq2Seq:
     def decode_step_batch(self, state: DecodeState, prev_ids):
         with no_grad():
             logits, state = self._step(state, np.asarray(prev_ids, dtype=np.intp))
-            return softmax(logits).data, state
+            return softmax(logits).data[:, 0], state
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
         src, src_len, mask = _padded_sources([s for s, _ in pairs])
         tgt, tgt_len = _padded([t for _, t in pairs])
         batch, width = tgt.shape
         tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
-        logits = self._forced(src, src_len, mask, tgt_in, train, rng)
+        logits = reshape(self._forced(src, src_len, mask, tgt_in, train, rng), (tgt.size, -1))
         weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
         return gather(log_softmax(logits, axis=-1), tgt.reshape(-1)), weights.reshape(-1)
 

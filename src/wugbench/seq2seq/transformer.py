@@ -5,9 +5,9 @@ final layer norm on both stacks.
 
 Teacher-forced work (training and forced scoring), ``_forced``, runs a
 whole batch of (source, target) pairs as one graph.  Sequences are
-right-padded and laid out as rows [B*T, D]; attention adds the key-padding
-mask over the source, and the causal mask alone keeps padded target
-positions away from real ones.
+right-padded and stay [B, T, D] from end to end; attention adds the
+key-padding mask over the source, and the causal mask alone keeps padded
+target positions away from real ones.
 
 Decoding is incremental, as in fairseq (Ott et al. 2019): ``_start``
 runs many sources as one padded pass and projects the memory to every
@@ -15,7 +15,7 @@ decoder layer's cross-attention keys and values once per source, and the
 decoder state caches each row's self-attention keys and values, so a step
 runs the decoder over the newest position only.  ``_step`` advances every
 row of every source, a greedy, sampled or beam hypothesis, as one row of a
-single [N, D] pass.  ``Seq2Seq`` pads, masks and reads the probabilities
+single [N, 1, D] pass.  ``Seq2Seq`` pads, masks and reads the probabilities
 around these hooks.
 """
 
@@ -37,7 +37,6 @@ from ..ndiff import (
     mul,
     parameter,
     relu,
-    reshape,
     scaled_dot_product,
 )
 from .config import ModelConfig
@@ -68,10 +67,8 @@ class TransformerSeq2Seq(Seq2Seq):
         self.params: dict[str, Tensor] = {}
         V, D = config.vocab_size, config.d_model
 
-        def p(name: str, data) -> Tensor:
-            t = parameter(data)
-            self.params[name] = t
-            return t
+        def p(name: str, data) -> None:
+            self.params[name] = parameter(data)
 
         def linear(name: str, out_dim: int, in_dim: int) -> None:
             p(f"{name}.w", rng.normal(0.0, in_dim ** -0.5, size=(out_dim, in_dim)))
@@ -112,88 +109,77 @@ class TransformerSeq2Seq(Seq2Seq):
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _project(self, name: str, x: Tensor, batch: int) -> Tensor:
-        """Project rows [B*T, D] through ``name`` -> [B, T, D]."""
-        t = affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
-        return reshape(t, (batch, -1, self.config.d_model))
+    def _linear(self, name: str, x: Tensor) -> Tensor:
+        return affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _attend(self, name: str, q: Tensor, k: Tensor, v: Tensor,
                 mask: np.ndarray | None) -> Tensor:
-        """Multi-head attention of q over (k, v), projected to rows [B*Tq, D]."""
-        cfg = self.config
-        o = reshape(scaled_dot_product(q, k, v, mask, cfg.heads), (-1, cfg.d_model))
-        return affine(o, self.params[f"{name}.o.w"], self.params[f"{name}.o.b"])
+        """Multi-head attention of q over (k, v), projected out."""
+        return self._linear(f"{name}.o", scaled_dot_product(q, k, v, mask, self.config.heads))
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
-        h = relu(affine(x, self.params[f"{name}.1.w"], self.params[f"{name}.1.b"]))
-        return affine(h, self.params[f"{name}.2.w"], self.params[f"{name}.2.b"])
+        return self._linear(f"{name}.2", relu(self._linear(f"{name}.1", x)))
 
     def _embed(self, table: str, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
-        """Rows [B*T, D] for ids [B, T] at positions start..start+T-1."""
+        """[B, T, D] for ids [B, T] at positions start..start+T-1."""
         cfg = self.config
-        batch, width = ids.shape
-        x = mul(embedding_lookup(self.params[table], ids.reshape(-1)),
-                Tensor(math.sqrt(cfg.d_model)))
-        pe = positional_encoding(start + width, cfg.d_model)[start:]
-        x = add(x, Tensor(np.tile(pe, (batch, 1))))
-        return dropout(x, cfg.dropout, train, rng)
+        x = mul(embedding_lookup(self.params[table], ids), Tensor(math.sqrt(cfg.d_model)))
+        pe = positional_encoding(start + ids.shape[1], cfg.d_model)[start:]
+        return dropout(add(x, Tensor(pe)), cfg.dropout, train, rng)
 
     def _encode(self, src: np.ndarray, mask: np.ndarray, train: bool, rng):
-        """Encoder memory rows [B*S, D] for padded source ids [B, S], and
-        their padding mask [B, S] as a key-padding mask [B, 1, 1, S]."""
+        """Encoder memory [B, S, D] for padded source ids [B, S], and their
+        padding mask [B, S] as a key-padding mask [B, 1, 1, S]."""
         cfg = self.config
         mask = mask[:, None, None, :]  # broadcast over heads and queries
-        batch = src.shape[0]
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
             normed = self._ln(f"enc.{l}.ln1", x)
-            q, k, v = (self._project(f"enc.{l}.self.{part}", normed, batch) for part in "qkv")
+            q, k, v = (self._linear(f"enc.{l}.self.{part}", normed) for part in "qkv")
             a = self._attend(f"enc.{l}.self", q, k, v, mask)
             x = add(x, dropout(a, cfg.dropout, train, rng))
             f = self._ffn(f"enc.{l}.ffn", self._ln(f"enc.{l}.ln2", x))
             x = add(x, dropout(f, cfg.dropout, train, rng))
         return self._ln("enc.final_ln", x), mask
 
-    def _cross_kv(self, memory: Tensor, batch: int) -> list[tuple[Tensor, Tensor]]:
+    def _cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
         """Every decoder layer's cross-attention (keys, values) over the memory."""
-        return [(self._project(f"dec.{l}.cross.k", memory, batch),
-                 self._project(f"dec.{l}.cross.v", memory, batch))
+        return [(self._linear(f"dec.{l}.cross.k", memory),
+                 self._linear(f"dec.{l}.cross.v", memory))
                 for l in range(self.config.dec_blocks)]
 
-    def _dec_block(self, l: int, x: Tensor, batch: int, cross: tuple[Tensor, Tensor],
+    def _dec_block(self, l: int, x: Tensor, cross: tuple[Tensor, Tensor],
                    self_mask, cross_mask, past, train: bool, rng):
-        """Decoder block l over rows x [B*T, D].
+        """Decoder block l over x [B, T, D].
 
         ``past`` is None or cached (keys, values) arrays that precede this
-        call's positions.  Returns the new rows and the full self-attention
+        call's positions.  Returns the new x and the full self-attention
         (keys, values) including the cached ones.
         """
         cfg = self.config
         normed = self._ln(f"dec.{l}.ln1", x)
-        q, k, v = (self._project(f"dec.{l}.self.{part}", normed, batch) for part in "qkv")
+        q, k, v = (self._linear(f"dec.{l}.self.{part}", normed) for part in "qkv")
         if past is not None:
             k = concat([Tensor(past[0]), k], axis=1)
             v = concat([Tensor(past[1]), v], axis=1)
         a = self._attend(f"dec.{l}.self", q, k, v, self_mask)
         x = add(x, dropout(a, cfg.dropout, train, rng))
-        q = self._project(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x), batch)
-        a = self._attend(f"dec.{l}.cross", q, cross[0], cross[1], cross_mask)
+        q = self._linear(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x))
+        a = self._attend(f"dec.{l}.cross", q, *cross, cross_mask)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         f = self._ffn(f"dec.{l}.ffn", self._ln(f"dec.{l}.ln3", x))
         x = add(x, dropout(f, cfg.dropout, train, rng))
         return x, (k, v)
 
     def _logits(self, x: Tensor) -> Tensor:
-        x = self._ln("dec.final_ln", x)
-        return affine(x, self.params["out.w"], self.params["out.b"])
+        return self._linear("out", self._ln("dec.final_ln", x))
 
     def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
         memory, mask = self._encode(src, mask, train, rng)
-        batch, width = tgt_in.shape
         x = self._embed("emb.tgt", tgt_in, train, rng)
-        causal = causal_mask(width)
-        for l, cross in enumerate(self._cross_kv(memory, batch)):
-            x, _ = self._dec_block(l, x, batch, cross, causal, mask, None, train, rng)
+        causal = causal_mask(tgt_in.shape[1])
+        for l, cross in enumerate(self._cross_kv(memory)):
+            x, _ = self._dec_block(l, x, cross, causal, mask, None, train, rng)
         return self._logits(x)
 
     # -- decoding ------------------------------------------------------------
@@ -207,21 +193,19 @@ class TransformerSeq2Seq(Seq2Seq):
         each [N, steps, D].
         """
         memory, mask = self._encode(src, mask, False, None)
-        cross = [t.data for kv in self._cross_kv(memory, len(src)) for t in kv]
+        cross = [t.data for kv in self._cross_kv(memory) for t in kv]
         empty = np.zeros((len(src), 0, self.config.d_model))
         return DecodeState(np.arange(len(src)), (empty,) * len(cross), (*cross, mask))
 
     def _step(self, state: DecodeState, prev_ids: np.ndarray):
-        batch = len(state)
         *cross, mask = state.shared
         mask = mask[state.src]
         # the cached keys' length is the position of the fed ids
-        x = self._embed("emb.tgt", prev_ids.reshape(batch, 1), False, None,
-                        start=state.rows[0].shape[1])
+        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=state.rows[0].shape[1])
         cache = []
         for l in range(self.config.dec_blocks):
             kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
             past = state.rows[2 * l:2 * l + 2]
-            x, (k, v) = self._dec_block(l, x, batch, kv, None, mask, past, False, None)
+            x, (k, v) = self._dec_block(l, x, kv, None, mask, past, False, None)
             cache += [k.data, v.data]
         return self._logits(x), replace(state, rows=tuple(cache))

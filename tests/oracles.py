@@ -8,6 +8,7 @@ code with the package internals it checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -252,18 +253,26 @@ def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def interior_nodes(root: Tensor) -> int:
-    """Number of recorded op nodes (nodes with a VJP) reachable from root
-    through parents that require grad; leaves are not counted."""
+def op_counts(root: Tensor) -> Counter:
+    """Recorded op nodes (nodes with a VJP) reachable from root through
+    parents that require grad, counted by the op that made them (the
+    function whose closure their VJP is); leaves are not counted."""
     seen: set[int] = set()
+    counts: Counter = Counter()
     stack = [root]
     while stack:
         node = stack.pop()
         if id(node) in seen or not node.requires_grad or node._vjp is None:
             continue
         seen.add(id(node))
+        counts[node._vjp.__qualname__.split(".")[0]] += 1
         stack.extend(node._parents)
-    return len(seen)
+    return counts
+
+
+def interior_nodes(root: Tensor) -> int:
+    """Number of recorded op nodes reachable from root (see ``op_counts``)."""
+    return sum(op_counts(root).values())
 
 
 def directional_grad_error(model, src_ids, tgt_ids, rng: np.random.Generator,

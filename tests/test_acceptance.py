@@ -148,21 +148,21 @@ def _op_suite(rng):
         return nd.sum_(nd.mul(nd.scaled_dot_product(a["q"], a["k"], a["v"], key_mask, 2),
                               T(asel)))
 
-    # additive attention as the LSTMs call it: q [B, A], keys [B, S, A],
-    # v [A] and memory [B, S, C]; the second row's last three positions are
-    # padding
-    dq = rng.normal(size=(2, 3))
+    # additive attention as the LSTMs call it: one query a row q [B, 1, A],
+    # keys [B, S, A], v [A] and memory [B, S, C]; the second row's last
+    # three positions are padding
+    dq = rng.normal(size=(2, 3))[:, None]
     dkeys = rng.normal(size=(2, 4, 3))
     dv = rng.normal(size=(3,))
     dmemory = rng.normal(size=(2, 4, 2))
-    dsel = rng.normal(size=(2, 2))
+    dsel = rng.normal(size=(2, 2))[:, None]
     pad_mask = np.zeros((2, 4))
     pad_mask[1, 1:] = -1e9
 
-    def additive(**leaf):
+    def additive(sel=dsel, **leaf):
         a = {"q": T(dq), "keys": T(dkeys), "v": T(dv), "memory": T(dmemory), **leaf}
         return nd.sum_(nd.mul(nd.additive_attention(a["q"], a["keys"], a["v"], a["memory"],
-                                                    pad_mask), T(dsel)))
+                                                    pad_mask), T(sel)))
 
     # the lstm over three positions, the rows above at the first; row 1 is
     # dead at its last position and row 2 at its last two
@@ -170,16 +170,26 @@ def _op_suite(rng):
     lsel = np.concatenate([lsel[:, None], rng.normal(size=(3, 2, 4))], axis=1)
     live = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
+    lstate = np.concatenate([lh, lc], axis=1)  # the start state concat([h, c])
+
     def recur(reverse=False, **leaf):
-        a = {"xs": T(lx), "h": T(lh), "c": T(lc), "w": T(lw), **leaf}
-        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["h"], a["c"], a["w"], T(lb), live, reverse),
+        a = {"xs": T(lx), "state": T(lstate), "w": T(lw), **leaf}
+        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["state"], a["w"], T(lb), live, reverse),
                               T(lsel)))
+
+    # drawn after every input above, which so keep their values: affine
+    # over rows [2, 3, in], lookups by ids [2, 2], and two queries a row
+    x3 = rng.normal(size=(2, 3, 4))
+    sel3 = rng.normal(size=(2, 3, 3))
+    table = rng.normal(size=(3, 4))
+    table_sel3 = rng.normal(size=(2, 2, 4))
+    dq2 = rng.normal(size=(2, 2, 3))
+    dsel2 = rng.normal(size=(2, 2, 2))
 
     return ops + [
         ("lstm", lambda t: recur(w=t), lw),
         ("lstm-x", lambda t: recur(xs=t), lx),
-        ("lstm-h", lambda t: recur(h=t), lh),
-        ("lstm-c", lambda t: recur(c=t), lc),
+        ("lstm-state", lambda t: recur(state=t), lstate),
         ("lstm-reverse", lambda t: recur(True, w=t), lw),
         ("scaled_dot_product-padded-q", lambda t: attend(q=t), aq),
         ("scaled_dot_product-padded-k", lambda t: attend(k=t), akv),
@@ -188,6 +198,15 @@ def _op_suite(rng):
         ("additive_attention-keys", lambda t: additive(keys=t), dkeys),
         ("additive_attention-v", lambda t: additive(v=t), dv),
         ("additive_attention-memory", lambda t: additive(memory=t), dmemory),
+        ("affine-rows", lambda t: nd.sum_(nd.mul(nd.affine(t, T(w34), T(b3)), T(sel3))), x3),
+        ("affine-rows-weight", lambda t: nd.sum_(nd.mul(nd.affine(T(x3), t, T(b3)),
+                                                        T(sel3))), w34),
+        ("embedding_lookup-grid", lambda t: nd.sum_(nd.mul(
+            nd.embedding_lookup(t, [[1, 0], [2, 1]]), T(table_sel3))), table),
+        ("additive_attention-queries", lambda t: additive(dsel2, q=t), dq2),
+        ("additive_attention-queries-keys", lambda t: additive(dsel2, q=T(dq2), keys=t), dkeys),
+        ("additive_attention-queries-memory",
+         lambda t: additive(dsel2, q=T(dq2), memory=t), dmemory),
     ]
 
 

@@ -8,7 +8,7 @@ import pytest
 import datagen
 from wugbench import corpus as cp
 from wugbench.cli import _parse_seeds, build_parser, main
-from wugbench.runner import read_csv_rows
+from wugbench.runner import ACCURACY_HEADER, read_csv_rows, write_csv
 
 TINY_DIMS = {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6, "enc_layers": 1,
              "dropout": 0.0}
@@ -124,6 +124,9 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
         assert f"error: {key} takes integers >= 1, got 0" in capsys.readouterr().err
     assert main(["train", "--config", str(good), "--seeds", "0"]) == 1
     assert "error: at least one seed is required" in capsys.readouterr().err
+    assert main(["train", "--config", str(good), "--seeds", "1,1"]) == 1
+    assert "error: seeds lists [1] more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoints").exists()
 
     # so is a value the model refuses, even for an architecture that would
     # train after another unit
@@ -247,10 +250,16 @@ def test_eval_refuses_untrained_unit(workspace, tmp_path, capsys):
 
 def test_report_merge_flag(workspace, tmp_path, capsys):
     root, config_path = workspace
-    # merge the run dir with itself through --merge: rows double up but the
-    # command exercises the multi-directory path end to end
-    assert main(["report", "--config", str(config_path),
-                 "--merge", str(root / "run")]) == 0
+    # a directory holding another seed of the run's model merges; the run
+    # dir merged with itself would count its seed twice and is refused
+    other = tmp_path / "other"
+    write_csv(other / "accuracy.csv", ACCURACY_HEADER,
+              [{**row, "seed": 2} for row in read_csv_rows(root / "run" / "accuracy.csv")])
+    assert main(["report", "--config", str(config_path), "--merge", str(other)]) == 0
     summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
     assert len(summary["merged_dirs"]) == 2
     capsys.readouterr()
+    assert main(["report", "--config", str(config_path),
+                 "--merge", str(root / "run")]) == 1
+    assert capsys.readouterr().err == ("error: units in more than one merged directory: "
+                                       "['en/unilstm_attn/seed1']\n")

@@ -88,6 +88,16 @@ def test_affine_grads(trial):
     _check(lambda t: nd.sum_(nd.affine(x2, w, t)), b)
     _check(lambda t: nd.sum_(nd.affine(t, w, b)), x2)
     _check(lambda t: nd.sum_(nd.affine(t, w)), x2)
+    # any leading shape runs as rows: none, and [2, 3]
+    x3 = rng.normal(size=(2, 3, 5))
+    sel = nd.Tensor(rng.normal(size=(2, 3, 3)))
+    _check(lambda t: nd.sum_(nd.mul(nd.affine(t, w, b), nd.Tensor(sel.data[0, 0]))), x1)
+    _check(lambda t: nd.sum_(nd.mul(nd.affine(t, w, b), sel)), x3)
+    _check(lambda t: nd.sum_(nd.mul(nd.affine(nd.Tensor(x3), t, b), sel)), w)
+    _check(lambda t: nd.sum_(nd.mul(nd.affine(nd.Tensor(x3), w, t), sel)), b)
+    out = nd.affine(nd.Tensor(x3), w, b).data
+    np.testing.assert_array_equal(out, nd.affine(nd.Tensor(x3.reshape(6, 5)), w, b).data
+                                  .reshape(2, 3, 3))
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
@@ -110,6 +120,10 @@ def test_stack_and_lookup_grads(trial):
     ids = [2, 0, 2, 6]  # repeated id: grads must accumulate on that row
     sel = nd.Tensor(rng.normal(size=(4, 4)))
     _check(lambda t: nd.sum_(nd.mul(nd.embedding_lookup(t, ids), sel)), table)
+    # ids of any shape: [2, 2] -> [2, 2, dim]
+    grid = [[2, 0], [2, 6]]
+    _check(lambda t: nd.sum_(nd.mul(nd.embedding_lookup(t, grid),
+                                    nd.Tensor(sel.data.reshape(2, 2, 4)))), table)
 
     logits = nd.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     _check(lambda t: nd.sum_(nd.gather(t, [1, 5, 0, 3])), logits)
@@ -209,10 +223,10 @@ ATTN_LIVE = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])  # source lengt
 
 
 def _attention_inputs(rng):
-    """q [B, A], keys [B, S, A], v [A], memory [B, S, C] and the additive
-    mask [B, S] of ``ATTN_LIVE``."""
+    """two queries a row q [B, 2, A], keys [B, S, A], v [A], memory
+    [B, S, C] and the additive mask [B, S] of ``ATTN_LIVE``."""
     batch, width = ATTN_LIVE.shape
-    return (rng.normal(size=(batch, 3)), rng.normal(size=(batch, width, 3)),
+    return (rng.normal(size=(batch, 2, 3)), rng.normal(size=(batch, width, 3)),
             rng.normal(size=(3,)), rng.normal(size=(batch, width, 2)),
             np.where(ATTN_LIVE == 1, 0.0, -1e9))
 
@@ -221,7 +235,7 @@ def _attention_inputs(rng):
 def test_additive_attention_grads(trial):
     rng = _rng(trial)
     q, keys, v, memory, mask = _attention_inputs(rng)
-    sel = nd.Tensor(rng.normal(size=(len(q), 2)))
+    sel = nd.Tensor(rng.normal(size=(len(q), 2, 2)))
 
     def loss_wrt(which):
         def f(t):
@@ -241,10 +255,12 @@ def test_additive_attention_forward_matches_textbook():
     out = nd.additive_attention(*leaves, mask)
     for r, live in enumerate(ATTN_LIVE):
         s = int(live.sum())
-        scores = np.array([np.tanh(keys[r, j] + q[r]) @ v for j in range(s)])
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
-        np.testing.assert_allclose(out.data[r], weights @ memory[r, :s], rtol=0, atol=1e-12)
+        for t in range(q.shape[1]):
+            scores = np.array([np.tanh(keys[r, j] + q[r, t]) @ v for j in range(s)])
+            weights = np.exp(scores - scores.max())
+            weights /= weights.sum()
+            np.testing.assert_allclose(out.data[r, t], weights @ memory[r, :s],
+                                       rtol=0, atol=1e-12)
     # padded positions get exactly zero weight: their memory neither
     # reaches the output nor receives a gradient
     noisy = np.where(ATTN_LIVE[..., None] == 1, memory, 1e6)
@@ -261,10 +277,12 @@ LSTM_LIVE = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 def _lstm_inputs(rng, dx):
+    """xs [B, T, dx], the start state concat([h, c]) [B, 4], w and b."""
     batch, steps = LSTM_LIVE.shape
     dh = 2
-    return (rng.normal(size=(batch, steps, dx)), rng.normal(size=(batch, dh)),
-            rng.normal(size=(batch, dh)), rng.normal(size=(4 * dh, dx + dh)) * 0.5,
+    xs = rng.normal(size=(batch, steps, dx))
+    h, c = rng.normal(size=(batch, dh)), rng.normal(size=(batch, dh))
+    return (xs, np.concatenate([h, c], axis=1), rng.normal(size=(4 * dh, dx + dh)) * 0.5,
             rng.normal(size=(4 * dh,)))
 
 
@@ -284,13 +302,13 @@ def _textbook_step(x, h, c, w, b):
 def test_lstm_grads(trial):
     rng = _rng(trial)
     leaves = {k: nd.Tensor(a, requires_grad=True)
-              for k, a in zip(("xs", "h", "c", "w", "b"), _lstm_inputs(rng, dx=4))}
+              for k, a in zip(("xs", "state", "w", "b"), _lstm_inputs(rng, dx=4))}
     sel = rng.normal(size=(*LSTM_LIVE.shape, 4))
 
     def loss(sel, reverse, **leaf):
         a = {**leaves, **leaf}
-        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["h"], a["c"], a["w"], a["b"], LSTM_LIVE,
-                                      reverse), nd.Tensor(sel)))
+        return nd.sum_(nd.mul(nd.lstm(a["xs"], a["state"], a["w"], a["b"], LSTM_LIVE, reverse),
+                              nd.Tensor(sel)))
 
     for reverse in (False, True):
         for name, var in leaves.items():
@@ -314,17 +332,17 @@ def test_lstm_grads(trial):
     only = np.zeros_like(sel)
     only[2, 1:] = sel[2, 1:]
     got = grads(only, True)
-    np.testing.assert_array_equal(got["h"][2], sel[2, 1, :2] + sel[2, 2, :2])
-    np.testing.assert_array_equal(got["c"][2], sel[2, 1, 2:] + sel[2, 2, 2:])
-    np.testing.assert_array_equal(np.delete(got["h"], 2, axis=0), 0.0)
+    np.testing.assert_array_equal(got["state"][2], sel[2, 1] + sel[2, 2])
+    np.testing.assert_array_equal(np.delete(got["state"], 2, axis=0), 0.0)
     for name in ("xs", "w", "b"):
         np.testing.assert_array_equal(got[name], 0.0, err_msg=name)
 
 
 def test_lstm_forward_matches_textbook():
-    xs, h, c, w, b = _lstm_inputs(_rng(0), dx=3)
+    xs, hc, w, b = _lstm_inputs(_rng(0), dx=3)
+    h, c = np.split(hc, 2, axis=1)
     for reverse in (False, True):
-        out = nd.lstm(*(nd.Tensor(a) for a in (xs, h, c, w, b)), LSTM_LIVE, reverse).data
+        out = nd.lstm(*(nd.Tensor(a) for a in (xs, hc, w, b)), LSTM_LIVE, reverse).data
         for r, live in enumerate(LSTM_LIVE):
             n = int(live.sum())
             state = h[r], c[r]
@@ -333,12 +351,12 @@ def test_lstm_forward_matches_textbook():
                 np.testing.assert_allclose(out[r, t], np.concatenate(state), rtol=0, atol=1e-12)
             # a dead position keeps the state it was handed, bit for bit:
             # going forward the row's last real one, going backward the start
-            held = out[r, n - 1] if not reverse else np.concatenate([h[r], c[r]])
+            held = out[r, n - 1] if not reverse else hc[r]
             for t in range(n, len(live)):
                 np.testing.assert_array_equal(out[r, t], held)
     # one step without a mask: every row is live and takes one textbook step
     for reverse in (False, True):
-        out = nd.lstm(*(nd.Tensor(a) for a in (xs[:, :1], h, c, w, b)), reverse=reverse).data
+        out = nd.lstm(*(nd.Tensor(a) for a in (xs[:, :1], hc, w, b)), reverse=reverse).data
         for r in range(len(xs)):
             np.testing.assert_allclose(out[r, 0], np.concatenate(
                 _textbook_step(xs[r, 0], h[r], c[r], w, b)), rtol=0, atol=1e-12)
@@ -429,8 +447,9 @@ def test_shape_errors_name_the_op():
     with pytest.raises(nd.ShapeError, match="affine"):
         nd.affine(nd.Tensor(np.ones(7)), nd.Tensor(np.ones((3, 5))), nd.Tensor(np.ones(3)))
     with pytest.raises(nd.ShapeError, match="lstm"):
-        nd.lstm(nd.Tensor(np.ones((2, 3, 4))), a, a, nd.Tensor(np.ones((12, 7))),
-                nd.Tensor(np.ones(12)), np.ones((3, 2)))  # live is [T, B], not [B, T]
+        nd.lstm(nd.Tensor(np.ones((2, 3, 4))), nd.Tensor(np.ones((2, 6))),
+                nd.Tensor(np.ones((12, 7))), nd.Tensor(np.ones(12)),
+                np.ones((3, 2)))  # live is [T, B], not [B, T]
 
 
 def test_every_exported_op_has_a_caller():

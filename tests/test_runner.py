@@ -154,6 +154,8 @@ def test_config_from_dict_rejects_a_non_object(blob):
     ("lr", True), ("clip_norm", True),
     ("seeds", 5), ("split_ratios", 0.8), ("split_ratios", ["0.8", "0.1", "0.1"]),
     ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.6, 0.5, 0.1]),
+    ("seeds", [1, 1]), ("seeds", [3, 1, 3]),
+    ("architectures", ["unilstm_noattn", "transformer", "unilstm_noattn"]),
 ])
 def test_config_from_dict_rejects_bad_training_values(key, value):
     with pytest.raises(RunnerError, match=key):
@@ -165,6 +167,7 @@ def test_config_from_dict_rejects_bad_training_values(key, value):
     {"bilstm_attn": {"vocab_size": 10}}, {"default": 8}, [],
     {"transformer": {"heads": 3, "d_model": 8}}, {"default": {"dropout": 1.5}},
     {"transformer": {"heads": 0}}, {"default": {"hidden_dim": -1}}, {"default": {"emb_dim": 2.5}},
+    {"default": {"hidden_dim": True}}, {"transformer": {"heads": True}},
 ])
 def test_config_from_dict_rejects_bad_model_overrides(overrides):
     with pytest.raises(RunnerError, match="model_overrides"):
@@ -604,6 +607,24 @@ def test_report_merges_languages(en_run, de_run, tmp_path):
     assert "de/unilstm_noattn" in summary["test_f1"]
     grid = summary["grid"]
     assert isinstance(grid["pooled"]["n"], int)
+
+
+def test_report_refuses_a_unit_in_two_directories(corpora, tmp_path):
+    # per-seed accuracies 40 and 60 have sd 14.14; merged with itself, or
+    # with a copy of its second seed, the duplicated seeds would give 11.55
+    config = _en_config(corpora, tmp_path / "run", architectures=("unilstm_noattn",),
+                        seeds=(1, 2))
+    rows = [{"lang": "en", "model": "unilstm_noattn", "seed": seed, "class": "all",
+             "accuracy": acc} for seed, acc in ((1, 40.0), (2, 60.0))]
+    write_csv(tmp_path / "run" / "accuracy.csv", ACCURACY_HEADER, rows)
+    summary = run_report(config)
+    assert summary["test_accuracy"]["en/unilstm_noattn"]["all"]["sd"] == pytest.approx(14.142,
+                                                                                      abs=1e-3)
+    write_csv(tmp_path / "copy" / "accuracy.csv", ACCURACY_HEADER, rows[1:])
+    for merge, units in (("run", r"\['en/unilstm_noattn/seed1', 'en/unilstm_noattn/seed2'\]"),
+                         ("copy", r"\['en/unilstm_noattn/seed2'\]")):
+        with pytest.raises(RunnerError, match=units):
+            run_report(config, [str(tmp_path / merge)])
 
 
 # ---------------------------------------------------------------------------

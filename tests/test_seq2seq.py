@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import directional_grad_error, interior_nodes
+import datagen
+from oracles import directional_grad_error, interior_nodes, op_counts
+from wugbench.corpus import build_alphabet
 from wugbench.ndiff import INIT_STREAM, backward, save_checkpoint, seeded_rng
 from wugbench.seq2seq import (
     ARCHITECTURES,
@@ -194,16 +196,6 @@ def test_batch_loss_matches_per_example_sum(arch):
                                        err_msg=name)
 
 
-def test_transformer_training_graph_size():
-    # at the default dimensions: each layer norm and each attention is one
-    # node, so this padded training batch builds 256 op nodes (the composed
-    # ops built 492)
-    model = build_model(ModelConfig("transformer", 12), seeded_rng(0, INIT_STREAM))
-    pairs = [([3, 4, 5, 6], [7, 8, 2]), ([5, 9], [6, 10, 11, 3, 2])]
-    loss = model.batch_loss(pairs, rng=np.random.default_rng(0), train=True)
-    assert interior_nodes(loss) <= 260
-
-
 @pytest.mark.parametrize("arch", LSTM_ARCHITECTURES)
 def test_lstm_training_graph_size(arch):
     # one lstm node per direction and layer runs the whole source, so the
@@ -215,6 +207,26 @@ def test_lstm_training_graph_size(arch):
         for srcs in ([[3, 4, 5, 6], [5, 9]], [[3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 4, 5], [5, 9]])
     ]
     assert sizes[0] == sizes[1], sizes
+
+
+# op nodes of one default-dims training loss with dropout on: each layer
+# norm, attention and lstm is one node, and the transformer's one reshape
+# is the one that flattens the logits
+NODE_CEILINGS = {"transformer": 161, "bilstm_attn": 116, "bilstm_noattn": 93,
+                 "unilstm_attn": 106, "unilstm_noattn": 85}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_training_graph_node_ceiling(arch):
+    examples = datagen.make_english(32, np.random.default_rng(1))
+    alphabet = build_alphabet(examples)
+    pairs = [(alphabet.encode_source(ex.tags, ex.lemma), alphabet.encode_target(ex.form))
+             for ex in examples]
+    model = build_model(ModelConfig(arch, len(alphabet)), seeded_rng(0, INIT_STREAM))
+    counts = op_counts(model.batch_loss(pairs, rng=np.random.default_rng(0), train=True))
+    assert sum(counts.values()) <= NODE_CEILINGS[arch], counts
+    if arch == "transformer":
+        assert counts["reshape"] == 1, counts
 
 
 def test_transformer_checkpoint_size(tmp_path):
