@@ -95,4 +95,4 @@ def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray])
             raise CheckpointError(
                 f"parameter '{name}': checkpoint shape {arr.shape} != model shape {p.data.shape}"
             )
-        p.data = np.array(arr, dtype=np.float64)
+        p.data = np.array(arr, dtype=np.float64, order="C")

@@ -54,7 +54,9 @@ class Tensor:
     """One node of the computation graph.
 
     ``data`` holds the value; a leaf's ``grad`` accumulates d(root)/d(self)
-    across ``backward`` calls until reset to ``None``.  Leaf tensors created with
+    across ``backward`` calls until reset to ``None`` or zeroed in place, as
+    ``Adam.zero_grad`` does, so the next ``backward`` adds into the same
+    array.  Leaf tensors created with
     ``requires_grad=True`` are trainable parameters; everything reachable
     from one inherits ``requires_grad`` so backward can prune dead branches.
     """
@@ -88,8 +90,8 @@ class Tensor:
 
 
 def parameter(data) -> Tensor:
-    """A trainable leaf tensor (copies its input)."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """A trainable leaf tensor (a C-contiguous copy of its input)."""
+    return Tensor(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -121,7 +123,10 @@ def backward(root: Tensor) -> None:
     ``root`` must be scalar.  Within one call gradients propagate through a
     scratch table, which drops an interior node's entry once it has reached
     the node's parents.  Repeated calls without resetting grads add exactly
-    one more copy of the gradient (accumulation semantics).
+    one more copy of the gradient (accumulation semantics).  A leaf whose
+    ``grad`` is ``None`` gets a copy of its gradient; one with an array, such
+    as one ``Adam.zero_grad`` zeroed in place, has it added in place, so a
+    training step allocates no leaf gradients after the first.
 
     A VJP may hand one array to several parents (``add`` passes ``g``
     through), so a table entry is written in place only once it is a buffer

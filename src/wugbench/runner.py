@@ -669,9 +669,10 @@ def build_grid(accuracy_rows: Sequence[dict], f1_rows: Sequence[dict],
 
     English cells use per-class accuracy, German cells per-class F1,
     averaged over the seeds where the value is defined; the human-fit
-    coordinate is the Pearson r of that model's ratings within the class.
-    Languages contribute their own classes, so a merged English+German
-    report has 7 classes per model."""
+    coordinate is the Pearson r of that model's ratings within the class,
+    averaged over the merged runs where it is defined. Languages contribute
+    their own classes, so a merged English+German report has 7 classes per
+    model."""
     perf: dict[tuple[str, str], list[float]] = {}
     classes: tuple[str, ...] = ()
     for lang, rows, col, lang_classes in (
@@ -686,17 +687,17 @@ def build_grid(accuracy_rows: Sequence[dict], f1_rows: Sequence[dict],
         if found:
             classes += lang_classes
 
-    fit: dict[tuple[str, str], float] = {}
+    fit: dict[tuple[str, str], list[float]] = {}
     for row in correlation_rows:
         r = _finite(row["pearson_r"])
         if row["group"] != "all" and r is not None:
-            fit[(row["model"], row["group"])] = r
+            fit.setdefault((row["model"], row["group"]), []).append(r)
 
     models = sorted({m for m, _ in perf} | {m for m, _ in fit}, key=_arch_rank)
     cells = {}
     for key, values in perf.items():
         if key in fit:
-            cells[key] = (float(np.mean(values)), fit[key])
+            cells[key] = (float(np.mean(values)), float(np.mean(fit[key])))
     summary = accuracy_correlation_grid(cells, models, classes)
     return {
         "cells": {

@@ -14,7 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import grad_check
+from test_seq2seq import tiny_model
 from wugbench import ndiff as nd
+from wugbench.seq2seq import ARCHITECTURES
 
 TRIALS = 10
 TOL = 1e-4
@@ -507,6 +509,95 @@ def test_adam_converges_on_quadratic():
         nd.backward(loss)
         opt.step()
     assert np.all(np.abs(p.data) < 1e-3)
+
+
+def _whole_array_adam(x, g, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    """The unblocked update, one whole-array numpy pass per operation."""
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_blocked_adam_is_bit_identical_to_whole_array_update():
+    rng = _rng(5)
+    block = nd.Adam.BLOCK
+    shapes = {"a": (1,), "b": (block - 1,), "c": (block,), "d": (2 * block + 3,),
+              "e": (3, 5)}
+    params = {k: nd.Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
+    opt = nd.Adam(params, lr=0.01)
+    for t in range(1, 5):
+        opt.zero_grad()
+        for k, p in params.items():
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+            p.grad = g.copy()
+            x, m, v = ref[k]
+            _whole_array_adam(x, g, m, v, t)
+        opt.step()
+        for k, p in params.items():
+            x, m, v = ref[k]
+            assert np.array_equal(p.data, x), k
+            assert np.array_equal(opt.m[k], m), k
+            assert np.array_equal(opt.v[k], v), k
+
+
+def test_adam_refuses_non_contiguous_parameter():
+    p = nd.Tensor(np.asfortranarray(np.ones((3, 4))), requires_grad=True)
+    p.grad = np.ones((3, 4))
+    with pytest.raises(nd.ContractError, match="C-contiguous"):
+        nd.Adam({"w": p}).step()
+    assert nd.parameter(np.asfortranarray(np.ones((3, 4)))).data.flags.c_contiguous
+
+
+def test_zero_grad_zeroes_in_place():
+    a = nd.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = nd.Tensor(np.ones(4), requires_grad=True)
+    c = nd.Tensor(np.ones(2), requires_grad=True)
+    opt = nd.Adam({"a": a, "b": b, "c": c})
+    nd.backward(nd.add(nd.sum_(nd.mul(a, a)), nd.sum_(b)))
+    grads = (a.grad, b.grad)
+    opt.zero_grad()
+    assert a.grad is grads[0] and b.grad is grads[1]
+    assert not np.any(a.grad) and not np.any(b.grad)
+    assert c.grad is None  # never reached: nothing to zero
+    nd.backward(nd.sum_(nd.mul(a, a)))
+    assert a.grad is grads[0]
+    np.testing.assert_array_equal(a.grad, 2.0)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_zero_grad_in_place_trains_like_reset_to_none(arch):
+    batches = [[([3, 4, 5], [6, 7, 2]), ([4, 5], [7, 6, 5, 2])],
+               [([5, 3, 4, 6], [6, 2])],
+               [([6, 5], [5, 6, 7, 2]), ([3], [4, 2]), ([7, 4, 3], [3, 2])]]
+
+    def train(reset):
+        model = tiny_model(arch)
+        opt = nd.Adam(model.params, lr=0.01)
+        rng = nd.seeded_rng(1, nd.DROPOUT_STREAM)
+        for batch in batches:
+            reset(opt)
+            nd.backward(model.batch_loss(batch, rng=rng, train=True))
+            for p in model.params.values():
+                p.grad /= len(batch)
+            nd.clip_global_norm(model.params, 1.0)
+            opt.step()
+        return model, opt
+
+    def to_none(opt):
+        for p in opt.params.values():
+            p.grad = None
+
+    kept, kept_opt = train(nd.Adam.zero_grad)
+    fresh, fresh_opt = train(to_none)
+    for name, p in kept.params.items():
+        assert np.array_equal(p.data, fresh.params[name].data), name
+        assert np.array_equal(kept_opt.m[name], fresh_opt.m[name]), name
+        assert np.array_equal(kept_opt.v[name], fresh_opt.v[name]), name
 
 
 def test_clip_global_norm():

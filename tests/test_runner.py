@@ -704,6 +704,21 @@ def test_build_grid_skips_undefined_performance_per_seed(undefined):
     assert "m/e" in grid["missing"]  # an undefined human fit also leaves a gap
 
 
+def test_build_grid_averages_merged_correlation_rows():
+    # two merged runs of one model: performance and human fit both average
+    accuracy_rows = [
+        {"lang": "en", "model": "m", "seed": seed, "class": "regular", "accuracy": acc}
+        for seed, acc in ((1, 40.0), (2, 60.0))
+    ]
+    correlation_rows = [
+        {"lang": "en", "model": "m", "group": "regular", "n": 4, "spearman_rho": 0.1,
+         "spearman_p": 0.9, "pearson_r": r, "pearson_p": 0.5}
+        for r in (0.1, 0.9, float("nan"))
+    ]
+    grid = build_grid(accuracy_rows, [], correlation_rows)
+    assert grid["cells"] == {"m/regular": {"performance": 50.0, "human_fit": 0.5}}
+
+
 def test_compute_correlations_tracks_direction(corpora):
     # ratings proportional to human ratings give Spearman rho 1 per group
     wugs = cp.parse_wugs(corpora / "en_wugs.tsv")
