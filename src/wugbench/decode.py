@@ -8,11 +8,16 @@ advances as one row of a single ``decode_step_batch`` call, as in
 fairseq's batched generator (Ott et al. 2019).  Greedy and sampling share
 one loop of independent rows, one per (source, draw), that differ only in
 how a row picks its next symbol.  Ranking, tie-breaks and the length cap
-stay per source, and a row leaves the batch once it is done.  Forced
-scoring runs each chunk of (source, target) pairs through one padded
-``teacher_forced_logprobs`` pass, the pass training runs.  Symbol
-sequences in hypotheses never include the start id; the end id is
-consumed (its probability counts toward the score) but not stored.
+stay per source, and a row leaves the batch once it is done.  Beam search
+keeps only each source's ``width`` best finished hypotheses and retires a
+source as soon as its result is decided (Huang et al. 2017): when the last
+of them scores strictly above its best live hypothesis.  Raw
+log-probability never rises as a prefix extends: a step's probabilities
+are at most 1, so it adds log p <= 0, also in floating point.  The stop is
+therefore exact.  Forced scoring runs each chunk of (source, target) pairs
+through one padded ``teacher_forced_logprobs`` pass, the pass training
+runs.  Symbol sequences in hypotheses never include the start id; the end
+id is consumed (its probability counts toward the score) but not stored.
 """
 
 from __future__ import annotations
@@ -164,10 +169,23 @@ def beam_search(model, sources, width: int, max_len: int | None = None) -> list[
     symbols), so results are deterministic.  A beam holds the finished
     hypotheses best-first, or the best unfinished ones (flagged) if nothing
     finished within the source's ``max_len`` steps.
+
+    The finished pool keeps only the ``width`` best, the most a beam can
+    return.  A source stops stepping once nothing of it is live, at its
+    cap, or once the pool is full and its last hypothesis scores strictly
+    above the best live one.  No extension of a live hypothesis can score
+    above it, as each step adds log p <= 0, so none could still enter the
+    pool, and the beam equals that of a search run to the cap.  A tie
+    keeps the source stepping: a later finisher with the same score and
+    lower symbols would rank above the last one.
     """
     if width < 1:
         raise ContractError(f"beam_search: width must be >= 1, got {width}")
     return _decode(_beam_chunk, model, sources, max_len, "beam_search", width)
+
+
+def _rank(hyp: Hypothesis):
+    return -hyp.logprob, hyp.symbols
 
 
 def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
@@ -186,19 +204,26 @@ def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
             # a source's prefixes share one length and sit in symbol order,
             # so flat index order is symbol order and a stable sort breaks
             # score ties by symbols
-            kids = []
+            kids, ended = [], []
             for flat in np.argsort(-block.ravel(), kind="stable")[:width]:
                 i, sym = divmod(int(flat), block.shape[1])
                 symbols = live[s][i][0] + (sym,)
                 logprob = float(block[i, sym])
                 if sym == EOS:
-                    finished[s].append(Hypothesis(symbols[:-1], logprob, True))
+                    ended.append(Hypothesis(symbols[:-1], logprob, True))
                 else:
                     kids.append((symbols, logprob, first + i))
+            if ended:
+                finished[s] = sorted(finished[s] + ended, key=_rank)[:width]
+            # kids are still best-first.  Once the width-th finished
+            # hypothesis beats the best kid outright, no extension can enter
+            # the top width (see beam_search) and the source is decided
+            decided = (len(finished[s]) == width and bool(kids)
+                       and finished[s][-1].logprob > kids[0][1])
             kids.sort(key=lambda kid: kid[0])
             first += len(live[s])
             live[s] = [(symbols, logprob) for symbols, logprob, _ in kids]
-            if kids and step + 1 < max_lens[s]:
+            if kids and step + 1 < max_lens[s] and not decided:
                 still.append(s)
                 parents += [parent for *_, parent in kids]
         if not still:
@@ -208,9 +233,9 @@ def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
 
     beams = []
     for s, done in enumerate(finished):
-        pool = done or [Hypothesis(symbols, logprob, False) for symbols, logprob in live[s]]
-        pool = sorted(pool, key=lambda h: (-h.logprob, h.symbols))
-        beams.append(Beam(tuple(pool[:width]), bool(done)))
+        pool = done or sorted((Hypothesis(symbols, logprob, False)
+                               for symbols, logprob in live[s]), key=_rank)
+        beams.append(Beam(tuple(pool), bool(done)))
     return beams
 
 

@@ -2,10 +2,12 @@
 
 Accuracy and F1 are reported on a 0-100 scale to match the inflection
 literature.  Correlations (Spearman and Pearson) are written out in
-numpy here, with two-sided p-values from the Student-t approximation;
-scipy is used only for the t CDF itself.  Undefined statistics (fewer
-than two points, zero variance) come back as NaN rather than raising,
-since sparse wug classes make them a normal occurrence.
+numpy here, with two-sided p-values from the Student-t approximation.
+scipy is used only for the t CDF itself, and is imported only when a
+p-value is computed, so commands that compute none never load it.
+Undefined statistics (fewer than two points, zero variance) come back as
+NaN rather than raising, since sparse wug classes make them a normal
+occurrence.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 
 class EvaluationError(ValueError):
@@ -123,6 +124,9 @@ def _t_pvalue(stat: float, n: int) -> float:
         return float("nan")
     if abs(stat) >= 1.0:
         return 0.0
+    # imported here: loading scipy takes longer than loading all of wugbench
+    from scipy.special import stdtr
+
     t = stat * math.sqrt((n - 2) / (1.0 - stat * stat))
     return float(2.0 * stdtr(n - 2, -abs(t)))
 

@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, overrides, staged pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import datagen
+import wugbench
 from wugbench import corpus as cp
 from wugbench.cli import _parse_seeds, build_parser, main
 from wugbench.runner import ACCURACY_HEADER, read_csv_rows, write_csv
@@ -263,3 +268,16 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
                  "--merge", str(root / "run")]) == 1
     assert capsys.readouterr().err == ("error: units in more than one merged directory: "
                                        "['en/unilstm_attn/seed1']\n")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads only where a correlation's p-value is computed, so the
+    # commands that compute none do not pay for importing it
+    src_dir = str(Path(wugbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, wugbench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

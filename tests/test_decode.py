@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     TableModel,
+    TableRows,
     chained_logprobs,
     enumeration_beam,
     exhaustive_best,
@@ -82,18 +83,20 @@ def test_default_max_len_tracks_source():
 # beam search vs oracles
 
 
+def assert_beam_is(beam, want):
+    """``beam`` holds the (symbols, logprob, finished) triples ``want``."""
+    assert [(h.symbols, h.finished) for h in beam.hyps] == [(w[0], w[2]) for w in want]
+    for hyp, (_, logprob, _) in zip(beam.hyps, want):
+        assert hyp.logprob == pytest.approx(logprob, abs=1e-12)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 @pytest.mark.parametrize("trial", range(6))
 def test_beam_matches_enumeration(width, trial):
     rng = np.random.default_rng(100 + trial)
     model = random_table_model(rng, vocab_size=5, depth=3)
-    got = beam_search(model, [SRC], width, max_len=4)[0].hyps
-    want = enumeration_beam(model, SRC, width, max_len=4)
-    assert len(got) == len(want)
-    for hyp, (symbols, logprob, finished) in zip(got, want):
-        assert hyp.symbols == symbols
-        assert hyp.finished == finished
-        assert hyp.logprob == pytest.approx(logprob, abs=1e-12)
+    (beam,) = beam_search(model, [SRC], width, max_len=4)
+    assert_beam_is(beam, enumeration_beam(model, SRC, width, max_len=4))
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -201,6 +204,107 @@ def test_beam_results_sorted_by_logprob():
     hyps = beam_search(model, [SRC], width=4, max_len=4)[0].hyps
     lps = [h.logprob for h in hyps]
     assert lps == sorted(lps, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# a source leaves the search once its top width is decided
+
+
+def count_rows(model):
+    """Record the row count of every decode step ``model`` takes from now on."""
+    rows, step = [], model.decode_step_batch
+
+    def counted(state, prev_ids):
+        rows.append(len(prev_ids))
+        return step(state, prev_ids)
+
+    model.decode_step_batch = counted
+    return rows
+
+
+class SourceTables:
+    """One ``TableModel`` per source, picked by the source's first id, so
+    sources in one batch follow different tables."""
+
+    def __init__(self, tables: dict[int, TableModel]):
+        self.tables = tables
+
+    def encode(self, sources):
+        return TableRows((src[0],) for src in sources)
+
+    def decode_step_batch(self, state, prev_ids):
+        rows = [self.tables[fed[0]]._row_step(fed[1:], p) for fed, p in zip(state, prev_ids)]
+        return (np.stack([probs for probs, _ in rows]),
+                TableRows(fed[:1] + stepped for fed, (_, stepped) in zip(state, rows)))
+
+
+# the end id is likely at once; after (3,) the best live kid scores .3 * .05,
+# far below the second finished hypothesis (3,) at .3 * .9, so with width 2
+# the beam is decided after two steps, though (3, 3) and on are uniform
+DECIDED_EARLY = {
+    (): np.array([0.0, 0.0, 0.6, 0.3, 0.1]),
+    (3,): np.array([0.0, 0.0, 0.9, 0.05, 0.05]),
+}
+
+
+def test_beam_stops_once_decided():
+    model = TableModel(DECIDED_EARLY, vocab_size=5)
+    want = enumeration_beam(model, SRC, width=2, max_len=12)
+    rows = count_rows(model)
+    (beam,) = beam_search(model, [SRC], width=2, max_len=12)
+    assert_beam_is(beam, want)
+    assert [h.symbols for h in beam.hyps] == [(), (3,)]
+    assert rows == [1, 1]
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_decided_beam_matches_enumeration(trial):
+    rng = np.random.default_rng(400 + trial)
+    model = random_table_model(rng, vocab_size=5, depth=3, eos_boost=4.0)
+    want = enumeration_beam(model, SRC, width=3, max_len=12)
+    rows = count_rows(model)
+    (beam,) = beam_search(model, [SRC], width=3, max_len=12)
+    assert_beam_is(beam, want)
+    assert len(rows) < 12
+
+
+def test_beam_tie_with_last_finished_keeps_stepping():
+    # after two steps (), (3,) and (4,) have finished and (3, 3) is live, all
+    # at log .25.  (3, 3) finishes next at the same score and outranks (4,)
+    # by symbols, so a tie must not decide the beam
+    model = TableModel(
+        {
+            (): np.array([0.0, 0.0, 0.25, 0.5, 0.25]),
+            (3,): np.array([0.0, 0.0, 0.5, 0.5, 0.0]),
+            (4,): np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+            (3, 3): np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+        },
+        vocab_size=5,
+    )
+    want = enumeration_beam(model, SRC, width=3, max_len=6)
+    assert [w[0] for w in want] == [(), (3,), (3, 3)]
+    rows = count_rows(model)
+    (beam,) = beam_search(model, [SRC], width=3, max_len=6)
+    assert_beam_is(beam, want)
+    # the third step finishes (3, 3); its kids all score -inf, which decides it
+    assert rows == [1, 2, 1]
+
+
+def test_decided_source_leaves_a_batch_that_runs_on():
+    # source [3] is decided after two steps; [4, 4] and [5, 5, 5] never end
+    # and run to their caps of 12 and 13 steps
+    model = SourceTables({3: TableModel(DECIDED_EARLY, vocab_size=5),
+                          4: TableModel({}, vocab_size=5),
+                          5: TableModel({(): np.array([0.0, 0.0, 0.0, 0.5, 0.5])}, 5)})
+    sources = [[4, 4], [3], [5, 5, 5]]
+    alone = [beam_search(model, [src], width=2)[0] for src in sources]
+    rows = count_rows(model)
+    beams = beam_search(model, sources, width=2)
+    assert beams == alone
+    assert [beam.finished for beam in beams] == [False, True, False]
+    assert [len(beam.hyps[0].symbols) for beam in beams] == [12, 0, 13]
+    assert rows == [3, 5] + [4] * 10 + [2]
+    assert_beam_is(beams[1], enumeration_beam(model.tables[3], [3], width=2, max_len=11))
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,24 @@ def test_transformer_decoder_is_causal():
     np.testing.assert_allclose(a[:2], c[:2], atol=1e-12)
 
 
-def test_decode_step_is_pure():
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_decode_step_is_pure(arch):
     # stepping twice from the same state must give identical distributions
-    model = tiny_model("bilstm_attn")
+    model = tiny_model(arch)
     state = model.encode([[3, 4]])
-    (p1,), _ = model.decode_step_batch(state, [1])
+    (p1,), first = model.decode_step_batch(state, [1])
     (p2,), _ = model.decode_step_batch(state, [1])
     np.testing.assert_array_equal(p1, p2)
+    # fork: step one state with two different ids, then continue the first
+    # branch; it must equal a fresh chain, so no step writes into a state
+    # another branch still holds
+    _, left = model.decode_step_batch(first, [5])
+    model.decode_step_batch(first, [6])
+    (forked,), _ = model.decode_step_batch(left, [7])
+    _, fresh = model.decode_step_batch(model.encode([[3, 4]]), [1])
+    _, fresh = model.decode_step_batch(fresh, [5])
+    (chained,), _ = model.decode_step_batch(fresh, [7])
+    np.testing.assert_array_equal(forked, chained)
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
