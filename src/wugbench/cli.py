@@ -10,7 +10,6 @@ common fields can be overridden from the command line.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .corpus import CorpusError
@@ -18,7 +17,6 @@ from .ndiff import CheckpointError
 from .runner import (
     ExperimentConfig,
     RunnerError,
-    require_object,
     run_eval,
     run_experiment,
     run_report,
@@ -71,20 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    with open(args.config, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    require_object(blob)
+    overrides = {}
     if args.arch:
-        blob["architectures"] = [args.arch]
+        overrides["architectures"] = [args.arch]
     if args.seeds is not None:
-        blob["seeds"] = args.seeds
+        overrides["seeds"] = args.seeds
     if args.epochs is not None:
-        blob["epochs"] = args.epochs
+        overrides["epochs"] = args.epochs
     if args.beam_width is not None:
-        blob["beam_width"] = args.beam_width
+        overrides["beam_width"] = args.beam_width
     if args.out:
-        blob["out_dir"] = args.out
-    return ExperimentConfig.from_dict(blob)
+        overrides["out_dir"] = args.out
+    return ExperimentConfig.from_file(args.config, overrides)
 
 
 def main(argv=None) -> int:
@@ -103,8 +99,7 @@ def main(argv=None) -> int:
             run_report(config, args.merge)
         elif args.command == "run":
             run_experiment(config)
-    except (CorpusError, RunnerError, CheckpointError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (CorpusError, RunnerError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

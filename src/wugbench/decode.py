@@ -248,8 +248,8 @@ def force_score(model, pairs) -> list[ForcedScore]:
     out: list[ForcedScore] = []
     for chunk in _chunks(pairs):
         with no_grad():
-            logprobs, _ = model.teacher_forced_logprobs(chunk)
-        for (_, tgt), row in zip(chunk, logprobs.data.reshape(len(chunk), -1)):
+            logprobs = model.teacher_forced_logprobs(chunk)
+        for (_, tgt), row in zip(chunk, logprobs.data):
             steps = row[:len(tgt)]
             raw = float(steps.sum())
             normalized = math.exp(raw / len(tgt)) if math.isfinite(raw) else 0.0

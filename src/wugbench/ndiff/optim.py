@@ -16,14 +16,17 @@ class Adam:
     Parameters are a name -> Tensor mapping; moments are keyed by name so
     the update order never depends on dict iteration quirks.
 
-    ``step`` walks each parameter's flat view in blocks of ``BLOCK``
-    elements through two preallocated scratch rows, so one block's working
-    set stays in cache and a step allocates nothing per parameter. Each
-    block runs the whole-array update's elementwise operations in the same
-    order, and every one of them is correctly rounded per element, so the
-    result is bit-identical to updating each array at once. Parameter
-    arrays must be C-contiguous, which ``parameter`` and ``restore_into``
-    guarantee.
+    ``step(factor)`` walks each parameter's flat view in blocks of
+    ``BLOCK`` elements through three preallocated scratch rows, so one
+    block's working set stays in cache and a step allocates nothing per
+    parameter. Each block first scales its gradient by ``factor`` into a
+    scratch row (the batch mean and the clip of ``clip_global_norm``, so
+    no pass over the gradients precedes the step), then runs the
+    whole-array update's elementwise operations in the same order. Every
+    one of them is correctly rounded per element, so the result is
+    bit-identical to updating each array at once from ``grad * factor``.
+    Parameter arrays must be C-contiguous, which ``parameter`` and
+    ``restore_into`` guarantee.
 
     ``zero_grad`` zeroes each existing gradient in place, so from the
     second step on ``backward`` adds into the same arrays. A gradient a
@@ -44,10 +47,12 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._scratch = np.empty((2, self.BLOCK))
+        self._scratch = np.empty((3, self.BLOCK))
 
-    def step(self) -> None:
-        """Apply one update from the gradients currently stored on params."""
+    def step(self, factor: float = 1.0) -> None:
+        """Apply one update from the gradients currently stored on params,
+        each multiplied by ``factor``; the gradients themselves stay as
+        they are."""
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
@@ -64,8 +69,9 @@ class Adam:
             v = self.v[name].reshape(-1)
             for lo in range(0, x.size, self.BLOCK):
                 blk = slice(lo, lo + self.BLOCK)
-                xb, gb, mb, vb = x[blk], g[blk], m[blk], v[blk]
-                t, u = self._scratch[:, :xb.size]
+                xb, mb, vb = x[blk], m[blk], v[blk]
+                t, u, gb = self._scratch[:, :xb.size]
+                np.multiply(g[blk], factor, out=gb)
                 mb *= b1                        # m = b1*m + (1-b1)*g
                 np.multiply(gb, 1.0 - b1, out=t)
                 mb += t
@@ -88,24 +94,24 @@ class Adam:
                 p.grad.fill(0.0)
 
 
-def global_grad_norm(params: Mapping[str, Tensor]) -> float:
-    """L2 norm of all gradients concatenated."""
+def clip_global_norm(params: Mapping[str, Tensor], max_norm: float,
+                     batch_size: int) -> tuple[float, float]:
+    """(norm, factor): the L2 norm of the mean gradient, which is the
+    stored gradient sum over ``batch_size``, and the factor ``Adam.step``
+    takes, 1 / batch_size times max_norm / norm when the norm is over the
+    cap.
+
+    Reads the gradients and writes none; callers log or NaN-check the norm.
+    Each gradient's squares are summed as a dot product of its flat view,
+    so no temporary the size of a gradient is made.
+    """
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return math.sqrt(total)
-
-
-def clip_global_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
-    """Rescale gradients in place so their joint L2 norm is <= max_norm.
-
-    Returns the pre-clip norm so callers can log or NaN-check it.
-    """
-    norm = global_grad_norm(params)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
-    return norm
+            flat = p.grad.reshape(-1)
+            total += float(flat @ flat)
+    norm = math.sqrt(total) / batch_size
+    factor = 1.0 / batch_size
+    if norm > max_norm:
+        factor *= max_norm / norm
+    return norm, factor

@@ -303,11 +303,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(data, (x,), vjp)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
-    return _node(data, (x,), lambda g, s=x.shape: (g.reshape(s),))
-
-
 # ---------------------------------------------------------------------------
 # lookups
 
@@ -327,46 +322,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node(data, (table,), vjp)
 
 
-def gather(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """x[i, indices[i]] for each row i of a 2-D tensor -> [rows]."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if x.ndim != 2 or idx.shape != (x.shape[0],):
-        raise ShapeError(f"gather: need x [n, m] and n indices, got {x.shape} and {idx.shape}")
-    rows = np.arange(x.shape[0])
-    data = x.data[rows, idx]
-
-    def vjp(g, shape=x.shape, rows=rows, idx=idx):
-        out = np.zeros(shape)
-        out[rows, idx] = g
-        return (out,)
-
-    return _node(data, (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # normalization and attention building blocks
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g, y=y, axis=axis):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _node(y, (x,), vjp)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def vjp(g, y=y, axis=axis):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return _node(y, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -480,8 +437,9 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 
 def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
          live: np.ndarray | None = None, reverse: bool = False) -> Tensor:
-    """An LSTM over xs [B, T, Dx] from the state concat([h, c]) [B, 2H],
-    last step first if ``reverse``: each step's state so laid out -> [B, T, 2H].
+    """An LSTM over xs [B, T, Dx] from the state concat([h, c]) [B, 1, 2H],
+    last step first if ``reverse``: each step's state so laid out -> [B, T, 2H],
+    so one step's output is the next call's start state.
 
     ``w`` is [4H, Dx+H], gates ordered (input, forget, cell, output).  Where
     the 0/1 mask ``live`` [B, T] is 0, a row keeps its state and passes the
@@ -490,7 +448,7 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
     as one GEMM each over all steps (Appleyard et al. 2016).
     """
     hsize = state.shape[-1] // 2
-    if (xs.ndim != 3 or not xs.shape[1] or state.shape != (xs.shape[0], 2 * hsize)
+    if (xs.ndim != 3 or not xs.shape[1] or state.shape != (xs.shape[0], 1, 2 * hsize)
             or w.shape != (4 * hsize, xs.shape[2] + hsize)
             or live is not None and np.shape(live) != xs.shape[:2]):
         raise ShapeError(f"lstm: incompatible shapes xs {xs.shape}, state {state.shape}, "
@@ -503,7 +461,7 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
     xh = np.empty((steps, batch, dx + hsize))
     xh[..., :dx] = xs.data.transpose(1, 0, 2)[flip]
     gates, hc, tanh_c = (np.empty((steps, batch, n * hsize)) for n in (4, 2, 1))
-    hp, cp = state.data[:, :hsize], state.data[:, hsize:]  # the state step s starts from
+    hp, cp = state.data[:, 0, :hsize], state.data[:, 0, hsize:]  # the state step s starts from
     for s in range(steps):
         xh[s, :, dx:] = hp
         z = np.add(np.matmul(xh[s], w.data.T, out=gates[s]), b.data, out=gates[s])
@@ -528,7 +486,7 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
             gh2, gc2, tt = ghc[:, :hsize], ghc[:, hsize:], tanh_c[s]
             gi, gf, gg, go = gates[s].reshape(batch, 4, hsize).swapaxes(0, 1)
             gcell = gc2 + gh2 * go * (1.0 - tt * tt)
-            cp = hc[s - 1, :, hsize:] if s else s0[:, hsize:]
+            cp = hc[s - 1, :, hsize:] if s else s0[:, 0, hsize:]
             dz[s] = np.concatenate([gcell * gg * gi * (1.0 - gi),
                                     gcell * cp * gf * (1.0 - gf),
                                     gcell * gi * (1.0 - gg * gg),
@@ -540,6 +498,38 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
         # the input and weight gradients need no recurrence: one GEMM each
         flat = dz.reshape(steps * batch, -1)
         gx = (flat @ wdata[:, :dx]).reshape(steps, batch, dx)[flip].transpose(1, 0, 2)
-        return gx, ghc, flat.T @ xh.reshape(steps * batch, -1), flat.sum(axis=0)
+        return gx, ghc[:, None], flat.T @ xh.reshape(steps * batch, -1), flat.sum(axis=0)
 
     return _node(data, (xs, state, w, b), vjp)
+
+
+# ---------------------------------------------------------------------------
+# loss head
+
+
+def target_logprobs(logits: Tensor, targets, live) -> Tensor:
+    """log softmax(logits) read at each position's target: logits [..., V],
+    integer targets and the 0/1 mask ``live`` [...] -> [...].
+
+    The loss head, one node: ``shifted - log(sum(exp(shifted)))`` with
+    ``shifted = logits - max(logits)``, and the closed-form backward
+    ``g * (onehot - softmax)``.  Where ``live`` is 0 the output is 0 and no
+    gradient flows, as padded positions need.
+    """
+    idx = np.asarray(targets, dtype=np.intp)[..., None]
+    keep = np.asarray(live, dtype=bool)
+    if logits.ndim < 1 or not logits.shape[:-1] == idx.shape[:-1] == keep.shape:
+        raise ShapeError(f"target_logprobs: need logits [..., V] and targets and live [...], "
+                         f"got {logits.shape}, {idx.shape[:-1]} and {keep.shape}")
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    data = np.where(keep, np.take_along_axis(logp, idx, axis=-1)[..., 0], 0.0)
+
+    def vjp(g, logp=logp, idx=idx, keep=keep):
+        g = np.where(keep, g, 0.0)[..., None]
+        out = np.exp(logp)
+        out *= -g
+        np.put_along_axis(out, idx, np.take_along_axis(out, idx, axis=-1) + g, axis=-1)
+        return (out,)
+
+    return _node(data, (logits,), vjp)

@@ -82,7 +82,7 @@ class RunnerError(Exception):
     """Configuration or orchestration problem."""
 
 
-def require_object(blob) -> None:
+def _require_object(blob) -> None:
     """Refuse a config whose top level is not a JSON object."""
     if not isinstance(blob, dict):
         raise RunnerError(f"config must be a JSON object, got {blob!r}")
@@ -175,7 +175,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        require_object(d)
+        _require_object(d)
         d = dict(d)
         for key in ("split_ratios", "architectures", "seeds"):
             if key in d:
@@ -192,12 +192,15 @@ class ExperimentConfig:
             raise RunnerError(f"bad config: {exc}") from exc
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides=None) -> "ExperimentConfig":
+        """The config in a JSON file, with ``overrides`` (such as the
+        command line's) replacing its top-level keys."""
         try:
             blob = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise RunnerError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(blob)
+        _require_object(blob)
+        return cls.from_dict({**blob, **(overrides or {})})
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -328,15 +331,12 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
                 epoch_loss += value
                 backward(loss)
                 del loss  # free this batch's graph before the next one is built
-                for p in model.params.values():
-                    if p.grad is not None:
-                        p.grad /= len(batch)
-                norm = clip_global_norm(model.params, config.clip_norm)
+                norm, factor = clip_global_norm(model.params, config.clip_norm, len(batch))
                 if not math.isfinite(norm):
                     raise TrainingDiverged(
                         f"{arch} seed {seed}: non-finite gradient norm at epoch {epoch}"
                     )
-                optim.step()
+                optim.step(factor)  # the batch mean and the clip, applied as it updates
             dev_acc = _greedy_accuracy(model, bundle.alphabet, bundle.dev)
             outcome.curve_rows.append({
                 "lang": bundle.lang, "model": arch, "seed": seed, "epoch": epoch,

@@ -15,13 +15,14 @@ Rows, one per sequence, run through ``lstm`` nodes: one per encoder layer
 and direction over the whole padded source, and one-step nodes in the
 decoder, whose input feeding makes each step wait for the last.  The
 decoder works in [rows, 1, ·], a one-position sequence, and carries each
-row's state as the ``lstm`` layout concat([h, c]) [rows, 2H].
+row's state as one step of ``lstm`` output, concat([h, c]) [rows, 1, 2H],
+which is also the start state the next step takes.
 Teacher-forced work runs a batch of right-padded (source, target) pairs as
 one graph.  The encoder's rows are dead at padded positions: going forward
 a row carries its last real state to the end, going backward its zero
 start state waits for its last symbol, so the final states sit at the last
 position and the first.  Attention masks padded source positions; padded
-targets come last and get weight 0.
+targets come last, and the loss head reads 0 there.
 Decoding works the same way: ``_start`` runs many sources as one padded
 pass, and ``_step`` steps every greedy, sampled or beam hypothesis of every
 source as one row, attending over its own source's memory and padding mask.
@@ -44,7 +45,6 @@ from ..ndiff import (
     lstm,
     narrow,
     parameter,
-    reshape,
     tanh,
 )
 from .config import ModelConfig
@@ -98,13 +98,13 @@ class LSTMSeq2Seq(Seq2Seq):
 
     def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
         """Decoder start for padded source ids [B, S]: the rows' state
-        concat([h, c]) [B, 2H] and the context [B, 1, ctx_dim] fed with the
+        concat([h, c]) [B, 1, 2H] and the context [B, 1, ctx_dim] fed with the
         first input, then, attentional only, the memory [B, S, ctx_dim] and
         its pre-projected keys [B, S, attn_dim]."""
         cfg, H = self.config, self.config.hidden_dim
         batch, width = src.shape
         live = np.arange(width)[None, :] < src_len[:, None]
-        zero = Tensor(np.zeros((batch, 2 * H)))
+        zero = Tensor(np.zeros((batch, 1, 2 * H)))
         xs = embedding_lookup(self.params["emb.src"], src)
         for layer in range(cfg.enc_layers):
             if layer > 0:
@@ -118,7 +118,7 @@ class LSTMSeq2Seq(Seq2Seq):
         h_fin, c_fin = (_joined([narrow(f, 2, k * H, H) for f in finals]) for k in (0, 1))
         h0 = tanh(affine(h_fin, self.params["bridge.h.w"], self.params["bridge.h.b"]))
         c0 = tanh(affine(c_fin, self.params["bridge.c.w"], self.params["bridge.c.b"]))
-        state = reshape(concat([h0, c0], axis=2), (batch, 2 * H))
+        state = concat([h0, c0], axis=2)
         if not self.attention:
             return state, h_fin, None, None
         return (state, Tensor(np.zeros((batch, 1, self.ctx_dim))), xs,
@@ -136,7 +136,7 @@ class LSTMSeq2Seq(Seq2Seq):
     def _cell(self, prev_ids: np.ndarray, state: Tensor, ctx: Tensor,
               memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
         """Feed prev_ids [N] to every row; returns the rows' new state
-        [N, 2H], their h [N, 1, H] and their context [N, 1, ctx_dim]."""
+        [N, 1, 2H], their h [N, 1, H] and their context [N, 1, ctx_dim]."""
         H = self.config.hidden_dim
         x = concat([embedding_lookup(self.params["emb.tgt"], prev_ids[:, None]), ctx], axis=2)
         out = lstm(x, state, self.params["dec.w"], self.params["dec.b"])
@@ -144,7 +144,7 @@ class LSTMSeq2Seq(Seq2Seq):
         if self.attention:
             q = affine(h, self.params["attn.query.w"])
             ctx = additive_attention(q, keys, self.params["attn.v"], memory, mask)
-        return reshape(out, (len(prev_ids), 2 * H)), h, ctx
+        return out, h, ctx
 
     def _step(self, state: DecodeState, prev_ids: np.ndarray):
         memory = keys = mask = None

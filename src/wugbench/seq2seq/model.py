@@ -10,12 +10,12 @@ Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
   advances all N rows of a state by one position, whatever source each
   row decodes; greedy, sampling and beam search run it on every live
   hypothesis of many sources at once
-- ``teacher_forced_logprobs(pairs, rng=None, train=False) -> (Tensor
-  [B*T], weights [B*T])``: log P(tgt_t | tgt_<t, src) for (src_ids,
-  tgt_ids) pairs right-padded to T target positions, row-major, with 0/1
-  weights marking the real positions; forced scoring runs it, and
-  ``batch_loss(pairs, rng=None, train=True)`` is its weighted negated sum,
-  the loss training takes once per batch, and ``loss`` its one-pair case
+- ``teacher_forced_logprobs(pairs, rng=None, train=False) -> Tensor
+  [B, T]``: log P(tgt_t | tgt_<t, src) for (src_ids, tgt_ids) pairs
+  right-padded to T target positions, 0 at the padded ones; forced
+  scoring runs it, and ``batch_loss(pairs, rng=None, train=True)`` is its
+  negated sum, the loss training takes once per batch, and ``loss`` its
+  one-pair case
 
 ``Seq2Seq`` implements them all once, around three hooks in which an
 architecture writes only its network.
@@ -34,17 +34,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..corpus import BOS, PAD
-from ..ndiff import Tensor, gather, log_softmax, mul, no_grad, reshape, softmax, sum_
+from ..ndiff import Tensor, mul, no_grad, sum_, target_logprobs
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
 
 
-def nll(logprobs: Tensor, weights=None) -> Tensor:
-    """Negated sum of log-probabilities; 0/1 ``weights`` drop padded rows."""
-    if weights is not None:
-        logprobs = mul(logprobs, Tensor(weights))
+def nll(logprobs: Tensor) -> Tensor:
+    """Negated sum of log-probabilities."""
     return mul(sum_(logprobs), Tensor(-1.0))
 
 
@@ -91,7 +89,7 @@ class DecodeState:
 
 class Seq2Seq:
     """The protocol around a subclass's network, which it writes as hooks
-    (they keep the position axis, and only this class flattens it):
+    (all of them keep the position axis):
 
     - ``_start(src, src_len, mask) -> DecodeState``: the decoder start of
       padded source ids [B, S] with lengths [B] and additive mask [B, S]
@@ -109,21 +107,21 @@ class Seq2Seq:
     def decode_step_batch(self, state: DecodeState, prev_ids):
         with no_grad():
             logits, state = self._step(state, np.asarray(prev_ids, dtype=np.intp))
-            return softmax(logits).data[:, 0], state
+        logits = logits.data[:, 0]
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # the softmax
+        return e / e.sum(axis=-1, keepdims=True), state
 
-    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False):
+    def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
         src, src_len, mask = _padded_sources([s for s, _ in pairs])
         tgt, tgt_len = _padded([t for _, t in pairs])
-        batch, width = tgt.shape
-        tgt_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
-        logits = reshape(self._forced(src, src_len, mask, tgt_in, train, rng), (tgt.size, -1))
-        weights = (np.arange(width)[None, :] < tgt_len[:, None]).astype(np.float64)
-        return gather(log_softmax(logits, axis=-1), tgt.reshape(-1)), weights.reshape(-1)
+        tgt_in = np.concatenate([np.full((len(tgt), 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
+        live = np.arange(tgt.shape[1])[None, :] < tgt_len[:, None]
+        return target_logprobs(self._forced(src, src_len, mask, tgt_in, train, rng), tgt, live)
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every
         target ending in the end id, as one padded graph."""
-        return nll(*self.teacher_forced_logprobs(pairs, rng, train))
+        return nll(self.teacher_forced_logprobs(pairs, rng, train))
 
     def loss(self, src_ids, tgt_ids, rng=None, train: bool = True) -> Tensor:
         """Negative log-likelihood of tgt_ids, summed over timesteps."""

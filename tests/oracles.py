@@ -61,11 +61,9 @@ class TableModel:
     def teacher_forced_logprobs(self, pairs, rng=None, train=False):
         width = max(len(tgt) for _, tgt in pairs)
         out = np.zeros((len(pairs), width))
-        weights = np.zeros((len(pairs), width))
         for i, (src, tgt) in enumerate(pairs):
             out[i, :len(tgt)] = chained_logprobs(self, src, tgt)
-            weights[i, :len(tgt)] = 1.0
-        return Tensor(out.reshape(-1)), weights.reshape(-1)
+        return Tensor(out)
 
 
 def random_table_model(rng: np.random.Generator, vocab_size: int,
@@ -251,6 +249,26 @@ def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def composed_target_logprobs(logits, targets, live, g):
+    """The loss head as two ops composed: a log-softmax over the last axis,
+    then a gather of each position's target, weighted 0/1 by ``live``.
+    Returns the forward [...] and, for the upstream gradient ``g`` [...],
+    the gradient with respect to ``logits`` [..., V], each op's backward
+    run in turn: the weighting, the gather's scatter, then the log-softmax
+    backward ``G - exp(y) * sum(G)``."""
+    x = np.asarray(logits).reshape(-1, np.shape(logits)[-1])
+    rows = np.arange(len(x))
+    idx = np.asarray(targets).reshape(-1)
+    weights = np.asarray(live, dtype=np.float64).reshape(-1)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    forward = y[rows, idx] * weights
+    scattered = np.zeros_like(x)
+    scattered[rows, idx] = np.asarray(g).reshape(-1) * weights
+    grad = scattered - np.exp(y) * scattered.sum(axis=-1, keepdims=True)
+    return forward.reshape(np.shape(targets)), grad.reshape(np.shape(logits))
 
 
 def op_counts(root: Tensor) -> Counter:

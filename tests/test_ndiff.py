@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check
+from oracles import composed_target_logprobs, grad_check
 from test_seq2seq import tiny_model
 from wugbench import ndiff as nd
 from wugbench.seq2seq import ARCHITECTURES
@@ -111,8 +111,6 @@ def test_shaping_grads(trial):
                                     nd.Tensor(np.arange(36.0).reshape(6, 6)))), x)
     _check(lambda t: nd.sum_(nd.mul(nd.narrow(t, 1, 2, 3),
                                     nd.Tensor(np.arange(12.0).reshape(4, 3)))), x)
-    _check(lambda t: nd.sum_(nd.mul(nd.reshape(t, (2, 12)),
-                                    nd.Tensor(np.arange(24.0).reshape(2, 12)))), x)
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
@@ -127,9 +125,6 @@ def test_stack_and_lookup_grads(trial):
     _check(lambda t: nd.sum_(nd.mul(nd.embedding_lookup(t, grid),
                                     nd.Tensor(sel.data.reshape(2, 2, 4)))), table)
 
-    logits = nd.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    _check(lambda t: nd.sum_(nd.gather(t, [1, 5, 0, 3])), logits)
-
 
 # ---------------------------------------------------------------------------
 # composite neural ops
@@ -137,12 +132,35 @@ def test_stack_and_lookup_grads(trial):
 
 @pytest.mark.parametrize("trial", range(TRIALS))
 def test_softmax_grads(trial):
+    # the loss head: log softmax read at the targets, over rows and over
+    # [B, T] positions, some of them dead
     rng = _rng(trial)
     x = nd.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    sel = nd.Tensor(rng.normal(size=(3, 5)))
-    _check(lambda t: nd.sum_(nd.mul(nd.softmax(t), sel)), x)
-    _check(lambda t: nd.sum_(nd.mul(nd.log_softmax(t), sel)), x)
-    _check(lambda t: nd.sum_(nd.mul(nd.softmax(t, axis=0), sel)), x)
+    sel = nd.Tensor(rng.normal(size=(3,)))
+    _check(lambda t: nd.sum_(nd.mul(nd.target_logprobs(t, [4, 0, 4], np.ones(3)), sel)), x)
+    x3 = nd.Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    sel3 = nd.Tensor(rng.normal(size=(2, 3)))
+    live = np.array([[1, 1, 0], [1, 0, 0]])
+    _check(lambda t: nd.sum_(nd.mul(nd.target_logprobs(t, [[1, 2, 3], [0, 0, 4]], live),
+                                    sel3)), x3)
+
+
+def test_target_logprobs_is_bit_identical_to_composed_ops():
+    # the one node equals log_softmax then gather, forward and backward,
+    # bit for bit; a dead position reads 0 and passes no gradient
+    rng = _rng(0)
+    for batch, width, vocab in ((1, 1, 2), (3, 7, 11), (5, 4, 40)):
+        logits = rng.normal(scale=4.0, size=(batch, width, vocab))
+        targets = rng.integers(0, vocab, size=(batch, width))
+        live = rng.random((batch, width)) < 0.7
+        g = rng.normal(size=(batch, width))
+        leaf = nd.Tensor(logits, requires_grad=True)
+        out = nd.target_logprobs(leaf, targets, live)
+        nd.backward(nd.sum_(nd.mul(out, nd.Tensor(g))))
+        forward, grad = composed_target_logprobs(logits, targets, live, g)
+        assert np.array_equal(out.data, forward)
+        assert np.array_equal(leaf.grad, grad)
+        assert not np.any(out.data[~live]) and not np.any(leaf.grad[~live])
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
@@ -279,12 +297,12 @@ LSTM_LIVE = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 def _lstm_inputs(rng, dx):
-    """xs [B, T, dx], the start state concat([h, c]) [B, 4], w and b."""
+    """xs [B, T, dx], the start state concat([h, c]) [B, 1, 4], w and b."""
     batch, steps = LSTM_LIVE.shape
     dh = 2
     xs = rng.normal(size=(batch, steps, dx))
     h, c = rng.normal(size=(batch, dh)), rng.normal(size=(batch, dh))
-    return (xs, np.concatenate([h, c], axis=1), rng.normal(size=(4 * dh, dx + dh)) * 0.5,
+    return (xs, np.concatenate([h, c], axis=1)[:, None], rng.normal(size=(4 * dh, dx + dh)) * 0.5,
             rng.normal(size=(4 * dh,)))
 
 
@@ -334,7 +352,7 @@ def test_lstm_grads(trial):
     only = np.zeros_like(sel)
     only[2, 1:] = sel[2, 1:]
     got = grads(only, True)
-    np.testing.assert_array_equal(got["state"][2], sel[2, 1] + sel[2, 2])
+    np.testing.assert_array_equal(got["state"][2, 0], sel[2, 1] + sel[2, 2])
     np.testing.assert_array_equal(np.delete(got["state"], 2, axis=0), 0.0)
     for name in ("xs", "w", "b"):
         np.testing.assert_array_equal(got[name], 0.0, err_msg=name)
@@ -342,7 +360,7 @@ def test_lstm_grads(trial):
 
 def test_lstm_forward_matches_textbook():
     xs, hc, w, b = _lstm_inputs(_rng(0), dx=3)
-    h, c = np.split(hc, 2, axis=1)
+    h, c = np.split(hc[:, 0], 2, axis=1)
     for reverse in (False, True):
         out = nd.lstm(*(nd.Tensor(a) for a in (xs, hc, w, b)), LSTM_LIVE, reverse).data
         for r, live in enumerate(LSTM_LIVE):
@@ -353,7 +371,7 @@ def test_lstm_forward_matches_textbook():
                 np.testing.assert_allclose(out[r, t], np.concatenate(state), rtol=0, atol=1e-12)
             # a dead position keeps the state it was handed, bit for bit:
             # going forward the row's last real one, going backward the start
-            held = out[r, n - 1] if not reverse else hc[r]
+            held = out[r, n - 1] if not reverse else hc[r, 0]
             for t in range(n, len(live)):
                 np.testing.assert_array_equal(out[r, t], held)
     # one step without a mask: every row is live and takes one textbook step
@@ -449,9 +467,11 @@ def test_shape_errors_name_the_op():
     with pytest.raises(nd.ShapeError, match="affine"):
         nd.affine(nd.Tensor(np.ones(7)), nd.Tensor(np.ones((3, 5))), nd.Tensor(np.ones(3)))
     with pytest.raises(nd.ShapeError, match="lstm"):
-        nd.lstm(nd.Tensor(np.ones((2, 3, 4))), nd.Tensor(np.ones((2, 6))),
+        nd.lstm(nd.Tensor(np.ones((2, 3, 4))), nd.Tensor(np.ones((2, 1, 6))),
                 nd.Tensor(np.ones((12, 7))), nd.Tensor(np.ones(12)),
                 np.ones((3, 2)))  # live is [T, B], not [B, T]
+    with pytest.raises(nd.ShapeError, match="target_logprobs"):
+        nd.target_logprobs(nd.Tensor(np.ones((2, 3, 5))), np.zeros((3, 2)), np.ones((2, 3)))
 
 
 def test_every_exported_op_has_a_caller():
@@ -511,8 +531,10 @@ def test_adam_converges_on_quadratic():
     assert np.all(np.abs(p.data) < 1e-3)
 
 
-def _whole_array_adam(x, g, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
-    """The unblocked update, one whole-array numpy pass per operation."""
+def _whole_array_adam(x, g, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8, factor=1.0):
+    """The unblocked update from ``g * factor``, one whole-array numpy pass
+    per operation."""
+    g = g * factor
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     m *= b1
@@ -530,19 +552,21 @@ def test_blocked_adam_is_bit_identical_to_whole_array_update():
     params = {k: nd.Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
     ref = {k: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
     opt = nd.Adam(params, lr=0.01)
-    for t in range(1, 5):
+    # a batch mean of 16, of 3, and one scaled by a clip as well
+    for t, factor in enumerate((1.0, 1.0 / 16, 1.0, 1.0 / 3, 0.0625 * 0.37), start=1):
         opt.zero_grad()
         for k, p in params.items():
             g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
             p.grad = g.copy()
             x, m, v = ref[k]
-            _whole_array_adam(x, g, m, v, t)
-        opt.step()
+            _whole_array_adam(x, g, m, v, t, factor=factor)
+        opt.step(factor)
         for k, p in params.items():
             x, m, v = ref[k]
             assert np.array_equal(p.data, x), k
             assert np.array_equal(opt.m[k], m), k
             assert np.array_equal(opt.v[k], v), k
+            assert p.grad is not None and np.any(p.grad), k  # the step reads, not scales
 
 
 def test_adam_refuses_non_contiguous_parameter():
@@ -582,10 +606,8 @@ def test_zero_grad_in_place_trains_like_reset_to_none(arch):
         for batch in batches:
             reset(opt)
             nd.backward(model.batch_loss(batch, rng=rng, train=True))
-            for p in model.params.values():
-                p.grad /= len(batch)
-            nd.clip_global_norm(model.params, 1.0)
-            opt.step()
+            _, factor = nd.clip_global_norm(model.params, 1.0, len(batch))
+            opt.step(factor)
         return model, opt
 
     def to_none(opt):
@@ -602,19 +624,21 @@ def test_zero_grad_in_place_trains_like_reset_to_none(arch):
 
 def test_clip_global_norm():
     a = nd.Tensor(np.zeros(3), requires_grad=True)
-    b = nd.Tensor(np.zeros(4), requires_grad=True)
-    a.grad = np.array([3.0, 0.0, 0.0])
-    b.grad = np.array([0.0, 4.0, 0.0, 0.0])
-    params = {"a": a, "b": b}
-    assert nd.global_grad_norm(params) == pytest.approx(5.0)
-    returned = nd.clip_global_norm(params, 1.0)
-    assert returned == pytest.approx(5.0)  # pre-clip norm is reported
-    assert nd.global_grad_norm(params) == pytest.approx(1.0)
-
-    a.grad = np.array([0.3, 0.0, 0.0])
-    b.grad = np.array([0.0, 0.4, 0.0, 0.0])
-    nd.clip_global_norm(params, 1.0)  # under the cap: untouched
-    np.testing.assert_allclose(a.grad, [0.3, 0.0, 0.0])
+    b = nd.Tensor(np.zeros((2, 2)), requires_grad=True)
+    c = nd.Tensor(np.zeros(2), requires_grad=True)  # no gradient: left out
+    a.grad = np.array([6.0, 0.0, 0.0])
+    b.grad = np.array([[0.0, 8.0], [0.0, 0.0]])
+    params = {"a": a, "b": b, "c": c}
+    # the summed gradients of 2 examples: the mean's norm is 5
+    assert nd.clip_global_norm(params, 10.0, 2) == (5.0, 0.5)  # under the cap
+    norm, factor = nd.clip_global_norm(params, 1.0, 2)
+    assert norm == 5.0
+    assert factor == pytest.approx(0.5 / 5.0)  # the mean, scaled to norm 1
+    assert nd.clip_global_norm(params, 5.0, 1) == (10.0, 0.5)  # one example
+    # no gradient is written
+    np.testing.assert_array_equal(a.grad, [6.0, 0.0, 0.0])
+    np.testing.assert_array_equal(b.grad, [[0.0, 8.0], [0.0, 0.0]])
+    assert c.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -858,21 +882,22 @@ finite_rows = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(finite_rows)
 def test_softmax_is_a_distribution(values):
-    x = nd.Tensor(np.array(values))
-    p = nd.softmax(x).data
-    assert np.all(p >= 0.0)
-    assert math.isclose(p.sum(), 1.0, rel_tol=1e-12)
-    lp = nd.log_softmax(x).data
-    np.testing.assert_allclose(np.exp(lp), p, atol=1e-12)
+    # the loss head read at every target in turn gives a distribution
+    vocab = len(values)
+    x = nd.Tensor(np.tile(values, (vocab, 1)))
+    lp = nd.target_logprobs(x, np.arange(vocab), np.ones(vocab)).data
+    assert np.all(lp <= 0.0)
+    assert math.isclose(np.exp(lp).sum(), 1.0, rel_tol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite_rows)
 def test_softmax_shift_invariance(values):
-    x = np.array(values)
-    a = nd.softmax(nd.Tensor(x)).data
-    b = nd.softmax(nd.Tensor(x + 123.0)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    vocab = len(values)
+    x = np.tile(values, (vocab, 1))
+    a = nd.target_logprobs(nd.Tensor(x), np.arange(vocab), np.ones(vocab)).data
+    b = nd.target_logprobs(nd.Tensor(x + 123.0), np.arange(vocab), np.ones(vocab)).data
+    np.testing.assert_allclose(np.exp(a), np.exp(b), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

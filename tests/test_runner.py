@@ -5,6 +5,7 @@ is covered separately by the learnability test, which uses a config the
 models can actually master in seconds.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import datagen
+from test_ndiff import _whole_array_adam
 from wugbench import corpus as cp
+from wugbench import ndiff as nd
 from wugbench.runner import (
     ACCURACY_HEADER,
     CORRELATIONS_HEADER,
@@ -39,6 +42,7 @@ from wugbench.runner import (
     train_unit,
     write_csv,
 )
+from wugbench.seq2seq import ARCHITECTURES, build_model
 
 TINY_DIMS = {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6, "enc_layers": 2,
              "d_model": 8, "ffn_dim": 16, "heads": 2, "enc_blocks": 1,
@@ -259,6 +263,35 @@ def test_train_unit_restores_best_checkpoint(corpora, tmp_path):
     from wugbench.runner import _greedy_accuracy
     assert _greedy_accuracy(model, bundle.alphabet, bundle.dev) == pytest.approx(
         outcome.best_dev_accuracy)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_train_unit_step_is_the_mean_gradient_update(corpora, tmp_path, arch):
+    # one unclipped step of 16 examples: the one optimizer pass gives the
+    # parameters of dividing the summed gradients by 16 and then updating
+    # each whole array
+    config = _en_config(corpora, tmp_path, architectures=(arch,), epochs=1, batch_size=16,
+                        clip_norm=10.0)
+    bundle = load_data(config)
+    bundle = dataclasses.replace(bundle, train=bundle.train[:16])
+    _, trained = train_unit(config, bundle, arch, seed=1)
+
+    model = build_model(config.model_config(arch, len(bundle.alphabet)),
+                        nd.seeded_rng(1, nd.INIT_STREAM))
+    encoded = [(bundle.alphabet.encode_source(ex.tags, ex.lemma),
+                bundle.alphabet.encode_target(ex.form)) for ex in bundle.train]
+    order = nd.seeded_rng(1, nd.SHUFFLE_STREAM).permutation(16)
+    nd.backward(model.batch_loss([encoded[i] for i in order],
+                                 rng=nd.seeded_rng(1, nd.DROPOUT_STREAM), train=True))
+    means = {k: p.grad / 16 for k, p in model.params.items()}
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in means.values()))
+    assert norm < config.clip_norm
+    got_norm, factor = nd.clip_global_norm(model.params, config.clip_norm, 16)
+    assert got_norm == pytest.approx(norm, rel=1e-12) and factor == 1 / 16
+    for k, p in model.params.items():
+        x = p.data.copy()
+        _whole_array_adam(x, means[k], np.zeros_like(x), np.zeros_like(x), 1, lr=config.lr)
+        assert np.array_equal(trained.params[k].data, x), k
 
 
 def test_train_unit_reports_divergence(corpora, tmp_path):
