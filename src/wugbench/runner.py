@@ -8,9 +8,11 @@ test set with beam search and the wug items with forced scoring.
 
 The stages are ``run_train``, ``run_eval``, ``run_wug`` and ``run_report``;
 ``run_experiment`` runs them in order.  A stage maps one per-unit function
-over the units and hands the results to its emitter, which sorts and writes
-its CSVs.  ``eval`` and ``wug`` rebuild every model from the checkpoint
-``train`` wrote.  ``run_report`` alone builds summary.json, from the CSVs.
+over the units, which ``_units`` lists in report order (architectures in
+``ARCHITECTURES`` order, then seeds ascending) whatever order the config
+gives, and writes the rows in the order they come back.  ``eval`` and
+``wug`` rebuild every model from the checkpoint ``train`` wrote.
+``run_report`` alone builds summary.json, from the CSVs.
 
 Everything emitted is byte-deterministic for a given config: row orders
 are fixed, floats are written in shortest round-trip form, and nothing
@@ -292,8 +294,7 @@ class TrainOutcome:
     best_epoch: int
     best_dev_accuracy: float
     param_count: int
-    diverged: bool = False
-    diagnostic: str = ""
+    diagnostic: str = ""  # why the unit diverged; empty if it did not
 
 
 def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
@@ -347,7 +348,6 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
                 outcome.best_epoch = epoch
                 best_params = {k: p.data.copy() for k, p in model.params.items()}
     except TrainingDiverged as exc:
-        outcome.diverged = True
         outcome.diagnostic = str(exc)
         return outcome, None
 
@@ -361,7 +361,8 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
 
 def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
               seed: int) -> tuple[list[dict], list[dict]]:
-    """Beam-decode the test set; returns (accuracy rows, f1 rows)."""
+    """Beam-decode the test set; returns (accuracy rows, f1 rows), each in
+    ``_class_rank`` order."""
     alphabet = bundle.alphabet
     beams = beam_search(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in bundle.test],
                         beam_width)
@@ -383,7 +384,11 @@ def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
         for cls, f1 in f1_by_class(classes, pred_classes, DE_REPORT_CLASSES).items():
             f1_rows.append({"lang": bundle.lang, "model": arch, "seed": seed,
                             "class": cls, "f1": f1})
-    return acc_rows, f1_rows
+
+    def by_class(r):
+        return _class_rank(r["class"])
+
+    return sorted(acc_rows, key=by_class), sorted(f1_rows, key=by_class)
 
 
 def _production_class(lang: str, item: cp.WugItem, produced: str) -> str:
@@ -405,8 +410,8 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
                seed: int) -> tuple[list[dict], dict[str, list[str]]]:
     """Forced-score every candidate and record this model's productions.
 
-    Returns (ratings rows, lemma -> produced classes).  The ratings 'seed'
-    column is the model identity '<arch>-seed<k>'.
+    Returns (ratings rows in (lemma, form) order, lemma -> produced
+    classes).  The ratings 'seed' column is the model identity '<arch>-seed<k>'.
     """
     alphabet = bundle.alphabet
     identity = f"{arch}-seed{seed}"
@@ -421,6 +426,7 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
         "normalized_prob": score.normalized_prob,
         "raw_logprob": score.raw_logprob,
     } for (item, cand), score in zip(candidates, scores)]
+    rating_rows.sort(key=lambda r: (r["lemma"], r["form"]))
     sources = [alphabet.encode_source(item.candidates[0].tags, item.lemma) for item in items]
     if config.sample_productions:
         produced = [[alphabet.decode(h.symbols) for h in hyps] for hyps in sample_decode(
@@ -495,7 +501,10 @@ def _wug_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: int
 
 
 def _units(config: ExperimentConfig) -> list[tuple[str, int]]:
-    return [(arch, seed) for arch in config.architectures for seed in config.seeds]
+    """The configured units in report order: architectures in
+    ``ARCHITECTURES`` order, then seeds ascending."""
+    return [(arch, seed) for arch in ARCHITECTURES if arch in config.architectures
+            for seed in sorted(config.seeds)]
 
 
 def _trained_units(config: ExperimentConfig) -> list[tuple[str, int]]:
@@ -523,8 +532,8 @@ def _worker_count() -> int:
 
 def _map_units(fn, config: ExperimentConfig, bundle: DataBundle,
                units: Sequence[tuple[str, int]]) -> list:
-    """``fn(config, bundle, arch, seed)`` for each unit, results in unit
-    order: serially, or in WUGBENCH_THREADS worker processes."""
+    """``fn(config, bundle, arch, seed)`` for each unit, results in the
+    order of ``units``: serially, or in WUGBENCH_THREADS worker processes."""
     payloads = [(config, bundle, arch, seed) for arch, seed in units]
     workers = min(_worker_count(), len(payloads))
     if workers <= 1:
@@ -582,11 +591,6 @@ def _arch_rank(arch: str) -> tuple[int, str]:
     return (ARCHITECTURES.index(arch), arch) if arch in ARCHITECTURES else (len(ARCHITECTURES), arch)
 
 
-def _seed_of(identity: str) -> int:
-    # model identity strings look like '<arch>-seed<k>'
-    return int(identity.rsplit("seed", 1)[1])
-
-
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -602,12 +606,14 @@ def _corr_to_json(c: CorrelationResult) -> dict:
     return {"statistic": safe(c.statistic), "pvalue": safe(c.pvalue), "n": c.n}
 
 
-def compute_correlations(lang: str, rating_rows: Sequence[dict],
+def compute_correlations(lang: str, rows_by_arch: dict[str, Sequence[dict]],
                          wugs: cp.WugSet) -> list[dict]:
-    """Human rating vs. per-architecture model rating, per class and overall.
+    """Human rating vs. per-architecture model rating, per class and overall,
+    for each architecture of ``rows_by_arch`` in its order.
 
-    Model rating of a candidate is its normalized probability averaged over
-    that architecture's seeds."""
+    ``rows_by_arch`` maps an architecture to the rating rows of all its
+    seeds.  Model rating of a candidate is its normalized probability
+    averaged over those seeds."""
     human: dict[tuple[str, str], float] = {}
     cls_of: dict[tuple[str, str], str] = {}
     for item in wugs.items:
@@ -615,16 +621,13 @@ def compute_correlations(lang: str, rating_rows: Sequence[dict],
             human[(item.lemma, cand.form)] = cand.rating
             cls_of[(item.lemma, cand.form)] = cand.cls
 
-    by_arch: dict[str, dict[tuple[str, str], list[float]]] = {}
-    for row in rating_rows:
-        arch = str(row["seed"]).rsplit("-seed", 1)[0]
-        key = (row["lemma"], row["form"])
-        by_arch.setdefault(arch, {}).setdefault(key, []).append(float(row["normalized_prob"]))
-
     classes = grid_classes(lang)
     out: list[dict] = []
-    for arch in sorted(by_arch, key=_arch_rank):
-        per_cand = by_arch[arch]
+    for arch, rows in rows_by_arch.items():
+        per_cand: dict[tuple[str, str], list[float]] = {}
+        for row in rows:
+            per_cand.setdefault((row["lemma"], row["form"]), []).append(
+                float(row["normalized_prob"]))
         for group in ("all",) + tuple(classes):
             keys = sorted(
                 k for k in per_cand
@@ -650,8 +653,7 @@ def compute_production_rows(lang: str, config_classes: Sequence[str],
                             wugs: cp.WugSet) -> list[dict]:
     rows: list[dict] = []
     context = {item.lemma: item.context for item in wugs.items}
-    for arch in sorted(outcomes_by_arch, key=_arch_rank):
-        per_item = outcomes_by_arch[arch]
+    for arch, per_item in outcomes_by_arch.items():
         for lemma in sorted(per_item):
             probs = production_probabilities(per_item[lemma], config_classes)
             for cls in config_classes:
@@ -734,62 +736,6 @@ def _write_summary(path, summary: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stage emitters: each sorts its stage's rows and writes its CSVs
-
-
-def _emit_training(out_dir: Path, outcomes: Sequence[TrainOutcome]) -> None:
-    """training_curves.csv and units.csv, and a 'diverged:' line on stdout
-    for each diverged unit."""
-    curve_rows = sorted((row for o in outcomes for row in o.curve_rows),
-                        key=lambda r: (_arch_rank(r["model"]), r["seed"], r["epoch"]))
-    write_csv(out_dir / "training_curves.csv", CURVES_HEADER, curve_rows)
-    unit_rows = sorted((
-        {"lang": o.lang, "model": o.arch, "seed": o.seed, "param_count": o.param_count,
-         "best_epoch": None if o.diverged else o.best_epoch,
-         "best_dev_accuracy": None if o.diverged else o.best_dev_accuracy,
-         "diagnostic": o.diagnostic}
-        for o in outcomes), key=lambda r: (_arch_rank(r["model"]), r["seed"]))
-    write_csv(out_dir / "units.csv", UNITS_HEADER, unit_rows)
-    for o in outcomes:
-        if o.diverged:
-            print(f"diverged: {o.diagnostic}")
-
-
-def _emit_eval(out_dir: Path, accuracy_rows: list[dict], f1_rows: list[dict]) -> None:
-    """accuracy.csv and f1.csv."""
-    def key(r):
-        return (_arch_rank(r["model"]), r["seed"], _class_rank(r["class"]))
-
-    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, sorted(accuracy_rows, key=key))
-    write_csv(out_dir / "f1.csv", F1_HEADER, sorted(f1_rows, key=key))
-
-
-def _emit_wug(out_dir: Path, bundle: DataBundle | None,
-              scored: Iterable[tuple[str, list[dict], dict[str, list[str]]]]) -> None:
-    """ratings.csv, correlations.csv and productions.csv from each unit's
-    (arch, rating rows, lemma -> produced classes), given in unit order;
-    header-only files without a bundle."""
-    rating_rows: list[dict] = []
-    outcomes_by_arch: dict[str, dict[str, list[list[str]]]] = {}
-    for arch, rows, outcomes in scored:
-        rating_rows.extend(rows)
-        arch_outcomes = outcomes_by_arch.setdefault(arch, {})
-        for lemma, produced in outcomes.items():
-            arch_outcomes.setdefault(lemma, []).append(produced)
-    rating_rows.sort(key=lambda r: (_arch_rank(r["seed"].rsplit("-seed", 1)[0]),
-                                    _seed_of(r["seed"]), r["lemma"], r["form"]))
-    write_csv(out_dir / "ratings.csv", RATINGS_HEADER, rating_rows)
-    correlation_rows: list[dict] = []
-    production_rows: list[dict] = []
-    if bundle is not None:
-        correlation_rows = compute_correlations(bundle.lang, rating_rows, bundle.wugs)
-        production_rows = compute_production_rows(
-            bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs)
-    write_csv(out_dir / "correlations.csv", CORRELATIONS_HEADER, correlation_rows)
-    write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER, production_rows)
-
-
-# ---------------------------------------------------------------------------
 # pipeline stages; ``run_experiment`` composes them in one process
 
 
@@ -798,10 +744,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary dict it wrote."""
     run_train(config)
     run_eval(config)
-    if config.wugs is None:
-        # header-only: no correlations of an earlier run in out_dir reach the summary
-        _emit_wug(Path(config.out_dir), None, [])
-    else:
+    if config.wugs is not None:
         run_wug(config)
     return run_report(config)
 
@@ -832,15 +775,27 @@ def run_train(config: ExperimentConfig) -> None:
     for name in LATER_OUTPUTS:
         (out_dir / name).unlink(missing_ok=True)
     outcomes = _map_units(_train_and_save, config, bundle, _units(config))
-    _emit_training(out_dir, outcomes)
+    write_csv(out_dir / "training_curves.csv", CURVES_HEADER,
+              (row for o in outcomes for row in o.curve_rows))
+    write_csv(out_dir / "units.csv", UNITS_HEADER, (
+        {"lang": o.lang, "model": o.arch, "seed": o.seed, "param_count": o.param_count,
+         "best_epoch": None if o.diagnostic else o.best_epoch,
+         "best_dev_accuracy": None if o.diagnostic else o.best_dev_accuracy,
+         "diagnostic": o.diagnostic}
+        for o in outcomes))
+    for o in outcomes:
+        if o.diagnostic:
+            print(f"diverged: {o.diagnostic}")
 
 
 def run_eval(config: ExperimentConfig) -> None:
     """Test-set evaluation of the trained units, read from their checkpoints."""
     bundle = load_data(config)
     results = _map_units(_eval_unit, config, bundle, _trained_units(config))
-    _emit_eval(Path(config.out_dir), [row for acc, _ in results for row in acc],
-               [row for _, f1 in results for row in f1])
+    out_dir = Path(config.out_dir)
+    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER,
+              (row for acc, _ in results for row in acc))
+    write_csv(out_dir / "f1.csv", F1_HEADER, (row for _, f1 in results for row in f1))
 
 
 def run_wug(config: ExperimentConfig) -> None:
@@ -848,8 +803,20 @@ def run_wug(config: ExperimentConfig) -> None:
     bundle = load_data(config)
     if bundle.wugs is None:
         raise RunnerError("wug scoring needs a 'wugs' entry in the config")
-    _emit_wug(Path(config.out_dir), bundle,
-              _map_units(_wug_unit, config, bundle, _trained_units(config)))
+    rows_by_arch: dict[str, list[dict]] = {}
+    outcomes_by_arch: dict[str, dict[str, list[list[str]]]] = {}
+    for arch, rows, outcomes in _map_units(_wug_unit, config, bundle, _trained_units(config)):
+        rows_by_arch.setdefault(arch, []).extend(rows)
+        arch_outcomes = outcomes_by_arch.setdefault(arch, {})
+        for lemma, produced in outcomes.items():
+            arch_outcomes.setdefault(lemma, []).append(produced)
+    out_dir = Path(config.out_dir)
+    write_csv(out_dir / "ratings.csv", RATINGS_HEADER,
+              (row for rows in rows_by_arch.values() for row in rows))
+    write_csv(out_dir / "correlations.csv", CORRELATIONS_HEADER,
+              compute_correlations(bundle.lang, rows_by_arch, bundle.wugs))
+    write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER, compute_production_rows(
+        bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs))
 
 
 REPORT_INPUTS = ("units.csv", "accuracy.csv", "f1.csv", "correlations.csv")

@@ -534,6 +534,7 @@ def smoke(tmp_path_factory):
     return config, out, summary, first, second, elapsed
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(8)
 def test_criterion8_smoke_report_is_complete(smoke):
     config, out, summary, _, _, _ = smoke
@@ -576,6 +577,7 @@ def test_criterion8_smoke_report_is_complete(smoke):
     assert len(grid["cells"]) == len(ARCHITECTURES) * 2  # regular + irregular
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(8)
 def test_criterion8_smoke_reruns_are_byte_identical(smoke):
     _, _, _, first, second, _ = smoke
@@ -583,6 +585,7 @@ def test_criterion8_smoke_reruns_are_byte_identical(smoke):
         assert second[name] == first[name], f"{name} differs between runs"
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(8)
 def test_criterion8_smoke_fits_time_budget(smoke):
     _, _, _, _, _, elapsed = smoke
