@@ -65,8 +65,8 @@ from .wugeval import (
     spearman,
 )
 
-EN_REPORT_CLASSES = ("regular", "irregular", cp.OTHER_CLASS)
-DE_REPORT_CLASSES = cp.GERMAN_CLASSES + (cp.OTHER_CLASS,)
+# each language's classes in report order, the one source of class order
+CLASSES = {"en": cp.ENGLISH_CLASSES, "de": cp.GERMAN_CLASSES}
 
 CURVES_HEADER = ("lang", "model", "seed", "epoch", "train_loss", "dev_accuracy")
 UNITS_HEADER = ("lang", "model", "seed", "param_count", "best_epoch", "best_dev_accuracy",
@@ -222,11 +222,8 @@ class ExperimentConfig:
 
 
 def report_classes(lang: str) -> tuple[str, ...]:
-    return EN_REPORT_CLASSES if lang == "en" else DE_REPORT_CLASSES
-
-
-def grid_classes(lang: str) -> tuple[str, ...]:
-    return cp.ENGLISH_CLASSES if lang == "en" else cp.GERMAN_CLASSES
+    """The language's classes, then 'other': the order of a unit's class rows."""
+    return CLASSES[lang] + (cp.OTHER_CLASS,)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +358,11 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
 
 def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
               seed: int) -> tuple[list[dict], list[dict]]:
-    """Beam-decode the test set; returns (accuracy rows, f1 rows), each in
-    ``_class_rank`` order."""
+    """Beam-decode the test set; returns (accuracy rows, f1 rows).
+
+    Accuracy rows are 'all', then each class of ``report_classes`` that
+    occurs in the gold test data; German F1 rows cover every class of
+    ``report_classes``, in that order."""
     alphabet = bundle.alphabet
     beams = beam_search(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in bundle.test],
                         beam_width)
@@ -373,22 +373,20 @@ def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
         "lang": bundle.lang, "model": arch, "seed": seed, "class": "all",
         "accuracy": exact_match_accuracy(golds, preds),
     }]
-    for cls, acc in accuracy_by_class(classes, golds, preds).items():
-        acc_rows.append({"lang": bundle.lang, "model": arch, "seed": seed,
-                         "class": cls, "accuracy": acc})
+    per_class = accuracy_by_class(classes, golds, preds)
+    for cls in report_classes(bundle.lang):
+        if cls in per_class:
+            acc_rows.append({"lang": bundle.lang, "model": arch, "seed": seed,
+                             "class": cls, "accuracy": per_class[cls]})
     f1_rows = []
     if bundle.lang == "de":
         pred_classes = [
             cp.classify_german_suffix(ex.lemma, p) for ex, p in zip(bundle.test, preds)
         ]
-        for cls, f1 in f1_by_class(classes, pred_classes, DE_REPORT_CLASSES).items():
+        for cls, f1 in f1_by_class(classes, pred_classes, report_classes("de")).items():
             f1_rows.append({"lang": bundle.lang, "model": arch, "seed": seed,
                             "class": cls, "f1": f1})
-
-    def by_class(r):
-        return _class_rank(r["class"])
-
-    return sorted(acc_rows, key=by_class), sorted(f1_rows, key=by_class)
+    return acc_rows, f1_rows
 
 
 def _production_class(lang: str, item: cp.WugItem, produced: str) -> str:
@@ -582,38 +580,29 @@ def read_csv_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _class_rank(cls: str) -> tuple[int, str]:
-    canon = ("all",) + EN_REPORT_CLASSES + DE_REPORT_CLASSES
-    return (canon.index(cls), cls) if cls in canon else (len(canon), cls)
-
-
 def _arch_rank(arch: str) -> tuple[int, str]:
     return (ARCHITECTURES.index(arch), arch) if arch in ARCHITECTURES else (len(ARCHITECTURES), arch)
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return float("nan"), float("nan")
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), sd
 
 
 def _corr_to_json(c: CorrelationResult) -> dict:
-    def safe(v):
-        return None if not math.isfinite(v) else float(v)
-
-    return {"statistic": safe(c.statistic), "pvalue": safe(c.pvalue), "n": c.n}
+    return {"statistic": _finite(c.statistic), "pvalue": _finite(c.pvalue), "n": c.n}
 
 
 def compute_correlations(lang: str, rows_by_arch: dict[str, Sequence[dict]],
                          wugs: cp.WugSet) -> list[dict]:
-    """Human rating vs. per-architecture model rating, per class and overall,
-    for each architecture of ``rows_by_arch`` in its order.
+    """Human rating vs. per-architecture model rating, for each architecture
+    of ``rows_by_arch`` in its order: 'all', then each of ``CLASSES[lang]``.
 
     ``rows_by_arch`` maps an architecture to the rating rows of all its
     seeds.  Model rating of a candidate is its normalized probability
-    averaged over those seeds."""
+    averaged over those seeds.  A group of fewer than two candidates has
+    NaN statistics."""
     human: dict[tuple[str, str], float] = {}
     cls_of: dict[tuple[str, str], str] = {}
     for item in wugs.items:
@@ -621,25 +610,21 @@ def compute_correlations(lang: str, rows_by_arch: dict[str, Sequence[dict]],
             human[(item.lemma, cand.form)] = cand.rating
             cls_of[(item.lemma, cand.form)] = cand.cls
 
-    classes = grid_classes(lang)
     out: list[dict] = []
     for arch, rows in rows_by_arch.items():
         per_cand: dict[tuple[str, str], list[float]] = {}
         for row in rows:
             per_cand.setdefault((row["lemma"], row["form"]), []).append(
                 float(row["normalized_prob"]))
-        for group in ("all",) + tuple(classes):
+        for group in ("all",) + CLASSES[lang]:
             keys = sorted(
                 k for k in per_cand
                 if k in human and (group == "all" or cls_of[k] == group)
             )
             xs = [human[k] for k in keys]
             ys = [model_rating(per_cand[k]) for k in keys]
-            if len(keys) < 2:
-                rho = r = CorrelationResult(float("nan"), float("nan"), len(keys))
-            else:
-                rho = spearman(xs, ys)
-                r = pearson(xs, ys)
+            rho = spearman(xs, ys)
+            r = pearson(xs, ys)
             out.append({
                 "lang": lang, "model": arch, "group": group, "n": len(keys),
                 "spearman_rho": rho.statistic, "spearman_p": rho.pvalue,
@@ -648,15 +633,15 @@ def compute_correlations(lang: str, rows_by_arch: dict[str, Sequence[dict]],
     return out
 
 
-def compute_production_rows(lang: str, config_classes: Sequence[str],
-                            outcomes_by_arch: dict[str, dict[str, list[list[str]]]],
+def compute_production_rows(lang: str, outcomes_by_arch: dict[str, dict[str, list[list[str]]]],
                             wugs: cp.WugSet) -> list[dict]:
+    classes = report_classes(lang)
     rows: list[dict] = []
     context = {item.lemma: item.context for item in wugs.items}
     for arch, per_item in outcomes_by_arch.items():
         for lemma in sorted(per_item):
-            probs = production_probabilities(per_item[lemma], config_classes)
-            for cls in config_classes:
+            probs = production_probabilities(per_item[lemma], classes)
+            for cls in classes:
                 rows.append({
                     "lang": lang, "model": arch, "lemma": lemma,
                     "context": context.get(lemma, ""), "class": cls,
@@ -677,17 +662,15 @@ def build_grid(accuracy_rows: Sequence[dict], f1_rows: Sequence[dict],
     model."""
     perf: dict[tuple[str, str], list[float]] = {}
     classes: tuple[str, ...] = ()
-    for lang, rows, col, lang_classes in (
-            ("en", accuracy_rows, "accuracy", cp.ENGLISH_CLASSES),
-            ("de", f1_rows, "f1", cp.GERMAN_CLASSES)):
+    for lang, rows, col in (("en", accuracy_rows, "accuracy"), ("de", f1_rows, "f1")):
         found = False
         for row in rows:
             value = _finite(row[col])
-            if row["lang"] == lang and row["class"] in lang_classes and value is not None:
+            if row["lang"] == lang and row["class"] in CLASSES[lang] and value is not None:
                 perf.setdefault((row["model"], row["class"]), []).append(value)
                 found = True
         if found:
-            classes += lang_classes
+            classes += CLASSES[lang]
 
     fit: dict[tuple[str, str], list[float]] = {}
     for row in correlation_rows:
@@ -722,8 +705,7 @@ def _class_stats(rows: Iterable[dict], col: str, by) -> dict[str, dict]:
         if value is not None:
             values.setdefault(by(row), {}).setdefault(row["class"], []).append(value)
     return {
-        key: {cls: dict(zip(("mean", "sd"), _mean_sd(vals)))
-              for cls, vals in sorted(classes.items(), key=lambda kv: _class_rank(kv[0]))}
+        key: {cls: dict(zip(("mean", "sd"), _mean_sd(vals))) for cls, vals in classes.items()}
         for key, classes in sorted(values.items())
     }
 
@@ -815,8 +797,8 @@ def run_wug(config: ExperimentConfig) -> None:
               (row for rows in rows_by_arch.values() for row in rows))
     write_csv(out_dir / "correlations.csv", CORRELATIONS_HEADER,
               compute_correlations(bundle.lang, rows_by_arch, bundle.wugs))
-    write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER, compute_production_rows(
-        bundle.lang, report_classes(bundle.lang), outcomes_by_arch, bundle.wugs))
+    write_csv(out_dir / "productions.csv", PRODUCTIONS_HEADER,
+              compute_production_rows(bundle.lang, outcomes_by_arch, bundle.wugs))
 
 
 REPORT_INPUTS = ("units.csv", "accuracy.csv", "f1.csv", "correlations.csv")

@@ -174,8 +174,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise EvaluationError(f"need equal-length 1-D inputs, got {x.shape} and {y.shape}")
-    base = pearson(average_ranks(x), average_ranks(y))
-    return CorrelationResult(base.statistic, _t_pvalue(base.statistic, len(x)), len(x))
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,7 @@ def accuracy_correlation_grid(
 
     def corr(keys: list[tuple[str, str]]) -> CorrelationResult:
         pts = [usable[k] for k in keys if k in usable]
-        if len(pts) < 2:
-            return CorrelationResult(float("nan"), float("nan"), len(pts))
-        xs, ys = zip(*pts)
-        return pearson(xs, ys)
+        return pearson([x for x, _ in pts], [y for _, y in pts])
 
     per_model = {m: corr([(m, c) for c in classes]) for m in models}
     per_class = {c: corr([(m, c) for m in models]) for c in classes}

@@ -559,26 +559,31 @@ def test_parallel_run_matches_serial(corpora, tmp_path, monkeypatch):
 
 REPORT_CSVS = ("training_curves.csv", "units.csv", "accuracy.csv", "f1.csv",
                "ratings.csv", "correlations.csv", "productions.csv")
+# the class row order README's "Output files" documents, written out rather
+# than read from the code under test
+CLASS_ORDER = {"en": ("all", "regular", "irregular", "other"),
+               "de": ("all", "(e)n", "e", "zero", "er", "s", "other")}
 
 
 def _report_key(name: str, row: dict, lang: str) -> tuple:
     """The report order of a CSV row: architecture, then seed, then what
     orders the rows within one unit or architecture."""
-    from wugbench.runner import _arch_rank, _class_rank, grid_classes, report_classes
+    from wugbench.runner import _arch_rank
 
+    order = CLASS_ORDER[lang]
     if name == "ratings.csv":
         arch, seed = row["seed"].rsplit("-seed", 1)
         return (_arch_rank(arch), int(seed), row["lemma"], row["form"])
     head = (_arch_rank(row["model"]),)
     if name == "correlations.csv":
-        return head + ((("all",) + grid_classes(lang)).index(row["group"]),)
+        return head + (order.index(row["group"]),)
     if name == "productions.csv":
-        return head + (row["lemma"], report_classes(lang).index(row["class"]))
+        return head + (row["lemma"], order.index(row["class"]))
     head += (int(row["seed"]),)
     if name == "training_curves.csv":
         return head + (int(row["epoch"]),)
     if name in ("accuracy.csv", "f1.csv"):
-        return head + (_class_rank(row["class"]),)
+        return head + (order.index(row["class"]),)
     return head
 
 
@@ -603,8 +608,8 @@ def test_unit_order_of_the_config_does_not_reach_the_reports(corpora, tmp_path, 
         assert all(a < b for a, b in zip(keys, keys[1:])), name
     if lang == "de":
         # no gold test form is 'other', yet its F1 is defined: some prediction
-        # is classed 'other', and the key check above put its row where
-        # _class_rank ranks it in each unit
+        # is classed 'other', and the key check above found its row last in
+        # each unit
         accuracy = read_csv_rows(outs["reversed"] / "accuracy.csv")
         assert cp.OTHER_CLASS not in {row["class"] for row in accuracy}
         f1 = read_csv_rows(outs["reversed"] / "f1.csv")
@@ -818,6 +823,22 @@ def test_compute_correlations_tracks_direction(corpora):
     assert by_group["all"]["spearman_rho"] == pytest.approx(1.0)
     assert by_group["all"]["n"] == sum(len(i.candidates) for i in wugs.items)
     assert by_group["regular"]["pearson_r"] == pytest.approx(1.0)
+
+    # keep the irregular candidate of the first item only: that group's one
+    # point has no correlation, while 'regular' keeps all of its points
+    first = wugs.items[0].lemma
+    sparse = cp.WugSet(wugs.lang, wugs.scale, tuple(
+        cp.WugItem(item.lemma, tuple(c for c in item.candidates
+                                     if c.cls == "regular" or item.lemma == first))
+        for item in wugs.items))
+    by_group = {row["group"]: row for row in compute_correlations(
+        "en", {"bilstm_attn": rows}, sparse)}
+    assert [row["group"] for row in by_group.values()] == ["all", "regular", "irregular"]
+    assert by_group["irregular"]["n"] == 1
+    assert math.isnan(by_group["irregular"]["spearman_rho"])
+    assert math.isnan(by_group["irregular"]["pearson_r"])
+    assert by_group["regular"]["n"] == len(wugs.items)
+    assert by_group["regular"]["spearman_rho"] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,7 @@ def test_correlations_against_scipy(trial):
     ours_s = spearman(x, y)
     ref_s = scipy.stats.spearmanr(x, y)
     assert ours_s.statistic == pytest.approx(ref_s.statistic, abs=1e-12)
+    assert ours_s.pvalue == pytest.approx(ref_s.pvalue, abs=1e-9)
 
 
 def test_average_ranks_against_oracle():
@@ -258,3 +259,7 @@ def test_grid_skips_missing_and_nan_cells():
     assert grid.pooled.n == 2
     assert math.isnan(grid.per_model["m1"].statistic)  # single usable point
     assert grid.per_class["a"].n == 2
+    # no usable cell at all
+    assert grid.per_class["b"].n == 0
+    assert math.isnan(grid.per_class["b"].statistic)
+    assert math.isnan(grid.per_class["b"].pvalue)
