@@ -238,6 +238,14 @@ def _split_tags(path, lineno: int, field: str) -> tuple[str, ...]:
     return tags
 
 
+def _check_class(path, lineno: int, lang: str, cls: str) -> None:
+    """Refuse a class outside ENGLISH_CLASSES, or GERMAN_CLASSES and 'other'."""
+    allowed = ENGLISH_CLASSES if lang == "en" else GERMAN_CLASSES + (OTHER_CLASS,)
+    if cls not in allowed:
+        raise ValidationError(f"{path}:{lineno}: {lang} class must be one of {allowed}, "
+                              f"got {cls!r}")
+
+
 def parse_dataset(path) -> tuple[str, list[InflectionExample]]:
     """Read a dataset file; returns (lang, examples).
 
@@ -265,19 +273,8 @@ def parse_dataset(path) -> tuple[str, list[InflectionExample]]:
         if not lemma or not form:
             raise ParseError(path, lineno, "empty lemma or form")
         tags = _split_tags(path, lineno, tagfield)
-        if ncols == 4:
-            cls = parts[3]
-            if lang == "en" and cls not in ENGLISH_CLASSES:
-                raise ValidationError(
-                    f"{path}:{lineno}: English class must be one of {ENGLISH_CLASSES}, got {cls!r}"
-                )
-            if lang == "de" and cls not in GERMAN_CLASSES and cls != OTHER_CLASS:
-                raise ValidationError(
-                    f"{path}:{lineno}: German class must be one of "
-                    f"{GERMAN_CLASSES + (OTHER_CLASS,)}, got {cls!r}"
-                )
-        else:
-            cls = classify_german_suffix(lemma, form)
+        cls = parts[3] if ncols == 4 else classify_german_suffix(lemma, form)
+        _check_class(path, lineno, lang, cls)
         examples.append(InflectionExample(lemma, form, tags, cls))
     if not examples:
         raise ValidationError(f"{path}: no data rows")
@@ -294,7 +291,9 @@ def write_dataset(path, lang: str, examples: Sequence[InflectionExample]) -> Non
 
 
 def parse_wugs(path) -> WugSet:
-    """Read a wug file: nonce lemmas, candidate forms, mean human ratings."""
+    """Read a wug file: nonce lemmas, candidate forms, mean human ratings.
+    Classes follow the dataset rules; the correlations key candidates by
+    (lemma, form), so a pair may appear once."""
     lines = _read_lines(path)
     header, header_line = _parse_header(path, lines, required=("lang", "rating_scale"))
     lang = header["lang"]
@@ -330,6 +329,7 @@ def parse_wugs(path) -> WugSet:
                 f"{path}:{lineno}: rating {rating} outside scale [{lo}, {hi}]"
             )
         tags = _split_tags(path, lineno, tagfield)
+        _check_class(path, lineno, lang, cls)
         if lemma not in by_lemma:
             by_lemma[lemma] = []
             contexts[lemma] = context
@@ -338,6 +338,8 @@ def parse_wugs(path) -> WugSet:
             raise ValidationError(
                 f"{path}:{lineno}: conflicting contexts for lemma {lemma!r}"
             )
+        if any(cand.form == form for cand in by_lemma[lemma]):
+            raise ValidationError(f"{path}:{lineno}: repeated candidate {lemma!r} {form!r}")
         by_lemma[lemma].append(WugCandidate(form, rating, tags, cls))
 
     if not order:

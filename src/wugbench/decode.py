@@ -97,9 +97,8 @@ def _decode(run, model, sources, max_len: int | None, caller: str, *args) -> lis
         raise ContractError(f"{caller}: max_len must be >= 1, got {max_len}")
     sources = [list(s) for s in sources]
     max_lens = [default_max_len(s) if max_len is None else max_len for s in sources]
-    with no_grad():
-        return [result for chunk, lens in zip(_chunks(sources), _chunks(max_lens))
-                for result in run(model, chunk, lens, *args)]
+    return [result for chunk, lens in zip(_chunks(sources), _chunks(max_lens))
+            for result in run(model, chunk, lens, *args)]
 
 
 def greedy_decode(model, sources, max_len: int | None = None) -> list[Hypothesis]:

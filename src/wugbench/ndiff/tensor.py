@@ -30,6 +30,7 @@ class ContractError(ValueError):
 
 
 LAYER_NORM_EPS = 1e-5
+_MASKED = -1e9  # a masked attention score: exp underflows to exactly 0 there
 
 _grad_enabled = True
 
@@ -351,15 +352,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(data, (x, gain, bias), vjp)
 
 
-def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, live: np.ndarray | None = None,
                        heads: int = 1) -> Tensor:
-    """softmax(q k^T / sqrt(d_head) + mask) v per head, for q [B, Tq, D] and
+    """softmax(q k^T / sqrt(d_head)) v per head, for q [B, Tq, D] and
     k, v [B, Tk, D] -> [B, Tq, D]; the columns split into ``heads`` heads of
     d_head = D / heads, which merge back in order (Vaswani et al. 2017).
 
     One node; the backward is that of Dao et al. (2022) without the tiling.
-    ``mask`` is an additive array that broadcasts against the scores
-    [B, heads, Tq, Tk] and is not differentiated.
+    The boolean mask ``live`` broadcasts against the scores [B, heads, Tq, Tk]
+    and is not differentiated; a key it marks False gets no weight.
     """
     def split(x):  # [B, T, D] -> a view [B, heads, T, d_head]
         return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 1, 3)
@@ -373,8 +374,8 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None 
         qh, kh, vh = split(q.data), split(k.data), split(v.data)
         scale = 1.0 / math.sqrt(qh.shape[-1])
         scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-        if mask is not None:
-            scores = scores + mask
+        if live is not None:
+            scores = np.where(live, scores, _MASKED)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         data = merge(np.matmul(probs, vh))
@@ -393,19 +394,19 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None 
 
 
 def additive_attention(q: Tensor, keys: Tensor, v: Tensor, memory: Tensor,
-                       mask: np.ndarray) -> Tensor:
-    """softmax(tanh(keys + q) v + mask) memory, the additive attention
-    (Bahdanau et al. 2015) of queries q [B, Tq, A] over keys [B, S, A] and
-    memory [B, S, C] scored by v [A] -> [B, Tq, C]; ``mask`` [B, S] is
-    additive and not differentiated.  One node with a closed-form backward."""
+                       live: np.ndarray) -> Tensor:
+    """softmax(tanh(keys + q) v) memory, the additive attention (Bahdanau et
+    al. 2015) of queries q [B, Tq, A] over keys [B, S, A] and memory [B, S, C]
+    where the boolean, undifferentiated ``live`` [B, S] is True, scored by
+    v [A] -> [B, Tq, C].  One node with a closed-form backward."""
     if (q.ndim != 3 or keys.ndim != 3 or q.shape[::2] != keys.shape[::2]
             or v.shape != keys.shape[2:] or memory.ndim != 3
-            or not np.shape(mask) == keys.shape[:2] == memory.shape[:2]):
+            or not np.shape(live) == keys.shape[:2] == memory.shape[:2]):
         raise ShapeError(f"additive_attention: incompatible shapes {q.shape}, {keys.shape}, "
-                         f"{v.shape}, {memory.shape} and mask {np.shape(mask)}")
+                         f"{v.shape}, {memory.shape} and live {np.shape(live)}")
     e = np.tanh(keys.data[:, None] + q.data[:, :, None])  # [B, Tq, S, A]
     vcol = v.data.reshape(-1, 1)
-    scores = np.matmul(e, vcol)[..., 0] + mask[:, None]
+    scores = np.where(live[:, None], np.matmul(e, vcol)[..., 0], _MASKED)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = w / w.sum(axis=-1, keepdims=True)
     data = np.matmul(w, memory.data)
@@ -442,7 +443,7 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
     so one step's output is the next call's start state.
 
     ``w`` is [4H, Dx+H], gates ordered (input, forget, cell, output).  Where
-    the 0/1 mask ``live`` [B, T] is 0, a row keeps its state and passes the
+    the boolean ``live`` [B, T] is False, a row keeps its state and passes the
     gradient straight back.  One node: one ``[x, h]`` GEMM per step over
     time-major scratch; the backward forms the input and weight gradients
     as one GEMM each over all steps (Appleyard et al. 2016).
@@ -509,7 +510,7 @@ def lstm(xs: Tensor, state: Tensor, w: Tensor, b: Tensor,
 
 def target_logprobs(logits: Tensor, targets, live) -> Tensor:
     """log softmax(logits) read at each position's target: logits [..., V],
-    integer targets and the 0/1 mask ``live`` [...] -> [...].
+    integer targets and the boolean mask ``live`` [...] -> [...].
 
     The loss head, one node: ``shifted - log(sum(exp(shifted)))`` with
     ``shifted = logits - max(logits)``, and the closed-form backward

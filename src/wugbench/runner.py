@@ -132,6 +132,11 @@ class ExperimentConfig:
     model_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise RunnerError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
+        for name in ("dataset", "train", "dev", "test", "wugs"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise RunnerError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.dataset is None and not (self.train and self.dev and self.test):
             raise RunnerError("config needs either 'dataset' or all of train/dev/test")
         if self.dataset is not None and (self.train or self.dev or self.test):
@@ -139,6 +144,8 @@ class ExperimentConfig:
         unknown = set(self.architectures) - set(ARCHITECTURES)
         if unknown:
             raise RunnerError(f"unknown architectures: {sorted(unknown)}")
+        if not self.architectures:
+            raise RunnerError("architectures must name at least one architecture")
         if not self.seeds:
             raise RunnerError("at least one seed is required")
         for name, low in (("epochs", 1), ("batch_size", 1), ("beam_width", 1),
@@ -810,12 +817,16 @@ def run_report(config: ExperimentConfig, merge_dirs: Sequence[str] = ()) -> dict
     ``models`` describes the units of ``out_dir`` alone, keyed by
     architecture; ``test_accuracy`` and ``test_f1`` (keyed 'lang/model')
     and ``grid`` cover every merged directory.  A (lang, model, seed) unit
-    in two directories would count its seed twice in every sd: refused."""
+    in two directories would count its seed twice in every sd, and a merged
+    directory without rows would add nothing: both are refused."""
     dirs = [Path(config.out_dir), *map(Path, merge_dirs)]
     tables = [{name: read_csv_rows(d / name) if (d / name).exists() else []
                for name in REPORT_INPUTS} for d in dirs]
-    if not any(t["units.csv"] or t["accuracy.csv"] for t in tables):
-        raise RunnerError(f"no units.csv or accuracy.csv rows under {[str(d) for d in dirs]}")
+    # out_dir alone may hold no rows, when a merged directory holds some
+    empty = [str(d) for i, (d, t) in enumerate(zip(dirs, tables))
+             if not (t["units.csv"] or t["accuracy.csv"]) and (i or not merge_dirs)]
+    if empty:
+        raise RunnerError(f"no units.csv or accuracy.csv rows under {empty}")
     units = Counter(unit for t in tables for unit in {
         f'{r["lang"]}/{r["model"]}/seed{r["seed"]}'
         for name in ("units.csv", "accuracy.csv", "f1.csv") for r in t[name]})

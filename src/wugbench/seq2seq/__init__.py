@@ -3,7 +3,7 @@
 from .config import ARCHITECTURES, LSTM_ARCHITECTURES, ModelConfig
 from .lstm import LSTMSeq2Seq
 from .model import DecodeState, build_model, count_parameters
-from .transformer import TransformerSeq2Seq, causal_mask, positional_encoding
+from .transformer import TransformerSeq2Seq, positional_encoding
 
 __all__ = [
     "ARCHITECTURES",
@@ -13,7 +13,6 @@ __all__ = [
     "ModelConfig",
     "TransformerSeq2Seq",
     "build_model",
-    "causal_mask",
     "count_parameters",
     "positional_encoding",
 ]

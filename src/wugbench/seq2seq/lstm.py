@@ -25,13 +25,11 @@ position and the first.  Attention masks padded source positions; padded
 targets come last, and the loss head reads 0 there.
 Decoding works the same way: ``_start`` runs many sources as one padded
 pass, and ``_step`` steps every greedy, sampled or beam hypothesis of every
-source as one row, attending over its own source's memory and padding mask.
-``Seq2Seq`` pads, masks and reads the probabilities around these hooks.
+source as one row, attending over its own source's memory and live mask.
+``Seq2Seq`` pads, masks, builds the states and reads the probabilities.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from ..ndiff import (
     tanh,
 )
 from .config import ModelConfig
-from .model import DecodeState, Seq2Seq
+from .model import Seq2Seq
 
 
 class LSTMSeq2Seq(Seq2Seq):
@@ -96,14 +94,13 @@ class LSTMSeq2Seq(Seq2Seq):
 
     # -- encoder -----------------------------------------------------------
 
-    def _encode(self, src: np.ndarray, src_len: np.ndarray, train: bool, rng):
-        """Decoder start for padded source ids [B, S]: the rows' state
-        concat([h, c]) [B, 1, 2H] and the context [B, 1, ctx_dim] fed with the
-        first input, then, attentional only, the memory [B, S, ctx_dim] and
-        its pre-projected keys [B, S, attn_dim]."""
+    def _encode(self, src: np.ndarray, live: np.ndarray, train: bool, rng):
+        """Decoder start for padded source ids [B, S] with live mask [B, S]: the
+        rows' state concat([h, c]) [B, 1, 2H] and the context [B, 1, ctx_dim] fed
+        with the first input, then, attentional only, the memory [B, S, ctx_dim]
+        and its pre-projected keys [B, S, attn_dim]."""
         cfg, H = self.config, self.config.hidden_dim
         batch, width = src.shape
-        live = np.arange(width)[None, :] < src_len[:, None]
         zero = Tensor(np.zeros((batch, 1, 2 * H)))
         xs = embedding_lookup(self.params["emb.src"], src)
         for layer in range(cfg.enc_layers):
@@ -124,17 +121,17 @@ class LSTMSeq2Seq(Seq2Seq):
         return (state, Tensor(np.zeros((batch, 1, self.ctx_dim))), xs,
                 affine(xs, self.params["attn.key.w"]))
 
-    def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
-        """The decoder start of every source as the rows of one state; the
-        attentional memory, keys and padding mask are shared per source."""
-        state, ctx, memory, keys = self._encode(src, src_len, False, None)
-        shared = (memory.data, keys.data, mask) if self.attention else ()
-        return DecodeState(np.arange(len(src)), (state.data, ctx.data), shared)
+    def _start(self, src: np.ndarray, live: np.ndarray):
+        """The decoder start of every source: per row its state and context;
+        the attentional memory, keys and live mask are shared per source."""
+        state, ctx, memory, keys = self._encode(src, live, False, None)
+        shared = (memory.data, keys.data, live) if self.attention else ()
+        return (state.data, ctx.data), shared
 
     # -- decoder -----------------------------------------------------------
 
     def _cell(self, prev_ids: np.ndarray, state: Tensor, ctx: Tensor,
-              memory: Tensor | None, keys: Tensor | None, mask: np.ndarray | None):
+              memory: Tensor | None, keys: Tensor | None, live: np.ndarray | None):
         """Feed prev_ids [N] to every row; returns the rows' new state
         [N, 1, 2H], their h [N, 1, H] and their context [N, 1, ctx_dim]."""
         H = self.config.hidden_dim
@@ -143,25 +140,25 @@ class LSTMSeq2Seq(Seq2Seq):
         h = narrow(out, 2, 0, H)
         if self.attention:
             q = affine(h, self.params["attn.query.w"])
-            ctx = additive_attention(q, keys, self.params["attn.v"], memory, mask)
+            ctx = additive_attention(q, keys, self.params["attn.v"], memory, live)
         return out, h, ctx
 
-    def _step(self, state: DecodeState, prev_ids: np.ndarray):
-        memory = keys = mask = None
+    def _step(self, state, prev_ids: np.ndarray):
+        memory = keys = live = None
         if self.attention:
-            memory, keys, mask = (a[state.src] for a in state.shared)
+            memory, keys, live = (a[state.src] for a in state.shared)
             memory, keys = Tensor(memory), Tensor(keys)
-        hc, h, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, mask)
+        hc, h, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, live)
         logits = affine(concat([h, ctx], axis=2), self.params["out.w"], self.params["out.b"])
-        return logits, replace(state, rows=(hc.data, ctx.data))
+        return logits, (hc.data, ctx.data)
 
     # -- teacher forcing ---------------------------------------------------
 
-    def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
-        state, ctx, memory, keys = self._encode(src, src_len, train, rng)
+    def _forced(self, src, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
+        state, ctx, memory, keys = self._encode(src, live, train, rng)
         feats = []
         for prev in tgt_in.T:
-            state, h, ctx = self._cell(prev, state, ctx, memory, keys, mask)
+            state, h, ctx = self._cell(prev, state, ctx, memory, keys, live)
             feats.append(concat([h, ctx], axis=2))
         f = dropout(concat(feats, axis=1), self.config.dropout, train, rng)
         return affine(f, self.params["out.w"], self.params["out.b"])

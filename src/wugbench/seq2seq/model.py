@@ -5,7 +5,7 @@ Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
 - ``params``: name -> Tensor, in a fixed creation order
 - ``encode(sources) -> DecodeState``: one row per source id sequence,
   ready to be fed the start id; the sources are right-padded into one
-  encoder pass and the padding is masked
+  encoder pass, and a boolean live mask hides the padding
 - ``decode_step_batch(state, prev_ids) -> (probs ndarray [N, V], state)``
   advances all N rows of a state by one position, whatever source each
   row decodes; greedy, sampling and beam search run it on every live
@@ -38,8 +38,6 @@ from ..ndiff import Tensor, mul, no_grad, sum_, target_logprobs
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
-NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
-
 
 def nll(logprobs: Tensor) -> Tensor:
     """Negated sum of log-probabilities."""
@@ -47,36 +45,33 @@ def nll(logprobs: Tensor) -> Tensor:
 
 
 def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id sequences with the pad id: (ids [B, T], lengths [B])."""
+    """Right-pad id sequences with the pad id: (ids [B, T], live mask [B, T] True where real)."""
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     ids = np.full((len(seqs), int(lengths.max())), PAD, dtype=np.intp)
     for i, s in enumerate(seqs):
         ids[i, :len(s)] = s
-    return ids, lengths
+    return ids, np.arange(ids.shape[1]) < lengths[:, None]
 
 
-def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-padded source ids [B, S], their lengths, and an additive [B, S]
-    mask hiding the padded positions."""
-    src, src_len = _padded(sources)
-    if src_len.min() == 0:
+def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray]:
+    """``_padded`` source ids; an empty source is refused."""
+    if not all(len(s) for s in sources):
         raise ContractError("encode: empty source sequence")
-    valid = np.arange(src.shape[1])[None, :] < src_len[:, None]
-    return src, src_len, np.where(valid, 0.0, NEG_INF)
+    return _padded(sources)
 
 
 @dataclass(frozen=True)
 class DecodeState:
     """Decoder state of N rows, each a hypothesis of one encoded source.
 
-    ``shared`` holds a model's per-source arrays (first axis: source),
-    which rows read through ``src`` [N], the source of each row, and no
-    step copies.  ``rows`` holds the per-row arrays (first axis: row).
+    ``shared`` holds a model's per-source arrays (first axis: source); a step
+    gathers its rows' slices through ``src`` [N], each row's source, and
+    ``take`` leaves them alone.  ``rows`` holds the per-row arrays (first axis: row).
     """
 
     src: np.ndarray
     rows: tuple[np.ndarray, ...]
-    shared: tuple = ()
+    shared: tuple
 
     def __len__(self) -> int:
         return len(self.src)
@@ -89,34 +84,34 @@ class DecodeState:
 
 class Seq2Seq:
     """The protocol around a subclass's network, which it writes as hooks
-    (all of them keep the position axis):
+    that return plain arrays and keep the position axis; ``Seq2Seq`` alone
+    builds and steps ``DecodeState``s:
 
-    - ``_start(src, src_len, mask) -> DecodeState``: the decoder start of
-      padded source ids [B, S] with lengths [B] and additive mask [B, S]
-    - ``_step(state, prev_ids) -> (logits [N, 1, V], state)``: feed
+    - ``_start(src, live) -> (rows, shared)``: the decoder start of padded
+      source ids [B, S] with boolean live mask [B, S], one row per source
+    - ``_step(state, prev_ids) -> (logits [N, 1, V], rows)``: feed
       prev_ids [N] to every row
-    - ``_forced(src, src_len, mask, tgt_in, train, rng) -> logits [B, T, V]``:
+    - ``_forced(src, live, tgt_in, train, rng) -> logits [B, T, V]``:
       the teacher-forced pass over decoder inputs tgt_in [B, T]
     """
 
     def encode(self, sources) -> DecodeState:
-        src, src_len, mask = _padded_sources(sources)
+        src, live = _padded_sources(sources)
         with no_grad():
-            return self._start(src, src_len, mask)
+            return DecodeState(np.arange(len(src)), *self._start(src, live))
 
     def decode_step_batch(self, state: DecodeState, prev_ids):
         with no_grad():
-            logits, state = self._step(state, np.asarray(prev_ids, dtype=np.intp))
+            logits, rows = self._step(state, np.asarray(prev_ids, dtype=np.intp))
         logits = logits.data[:, 0]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # the softmax
-        return e / e.sum(axis=-1, keepdims=True), state
+        return e / e.sum(axis=-1, keepdims=True), replace(state, rows=rows)
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
-        src, src_len, mask = _padded_sources([s for s, _ in pairs])
-        tgt, tgt_len = _padded([t for _, t in pairs])
+        src, src_live = _padded_sources([s for s, _ in pairs])
+        tgt, live = _padded([t for _, t in pairs])
         tgt_in = np.concatenate([np.full((len(tgt), 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
-        live = np.arange(tgt.shape[1])[None, :] < tgt_len[:, None]
-        return target_logprobs(self._forced(src, src_len, mask, tgt_in, train, rng), tgt, live)
+        return target_logprobs(self._forced(src, src_live, tgt_in, train, rng), tgt, live)
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every

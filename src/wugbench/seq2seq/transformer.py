@@ -5,9 +5,9 @@ final layer norm on both stacks.
 
 Teacher-forced work (training and forced scoring), ``_forced``, runs a
 whole batch of (source, target) pairs as one graph.  Sequences are
-right-padded and stay [B, T, D] from end to end; attention adds the
-key-padding mask over the source, and the causal mask alone keeps padded
-target positions away from real ones.
+right-padded and stay [B, T, D] from end to end; attention over the
+source reads only its live positions, and the causal mask alone keeps
+padded target positions away from real ones.
 
 Decoding is incremental, as in fairseq (Ott et al. 2019): ``_start``
 runs many sources as one padded pass and projects the memory to every
@@ -15,14 +15,13 @@ decoder layer's cross-attention keys and values once per source, and the
 decoder state caches each row's self-attention keys and values, so a step
 runs the decoder over the newest position only.  ``_step`` advances every
 row of every source, a greedy, sampled or beam hypothesis, as one row of a
-single [N, 1, D] pass.  ``Seq2Seq`` pads, masks and reads the probabilities
-around these hooks.
+single [N, 1, D] pass.  ``Seq2Seq`` pads, masks, builds the states and
+reads the probabilities around these hooks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from ..ndiff import (
     scaled_dot_product,
 )
 from .config import ModelConfig
-from .model import NEG_INF, DecodeState, Seq2Seq
+from .model import Seq2Seq
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -52,11 +51,6 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
     return table
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """[length, length] additive mask hiding positions after the query's."""
-    return np.triu(np.full((length, length), NEG_INF), k=1)
 
 
 class TransformerSeq2Seq(Seq2Seq):
@@ -113,9 +107,9 @@ class TransformerSeq2Seq(Seq2Seq):
         return affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _attend(self, name: str, q: Tensor, k: Tensor, v: Tensor,
-                mask: np.ndarray | None) -> Tensor:
-        """Multi-head attention of q over (k, v), projected out."""
-        return self._linear(f"{name}.o", scaled_dot_product(q, k, v, mask, self.config.heads))
+                live: np.ndarray | None) -> Tensor:
+        """Multi-head attention of q over the live (k, v), projected out."""
+        return self._linear(f"{name}.o", scaled_dot_product(q, k, v, live, self.config.heads))
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._linear(f"{name}.2", relu(self._linear(f"{name}.1", x)))
@@ -127,20 +121,20 @@ class TransformerSeq2Seq(Seq2Seq):
         pe = positional_encoding(start + ids.shape[1], cfg.d_model)[start:]
         return dropout(add(x, Tensor(pe)), cfg.dropout, train, rng)
 
-    def _encode(self, src: np.ndarray, mask: np.ndarray, train: bool, rng):
+    def _encode(self, src: np.ndarray, live: np.ndarray, train: bool, rng):
         """Encoder memory [B, S, D] for padded source ids [B, S], and their
-        padding mask [B, S] as a key-padding mask [B, 1, 1, S]."""
+        live mask [B, S] as a key mask [B, 1, 1, S]."""
         cfg = self.config
-        mask = mask[:, None, None, :]  # broadcast over heads and queries
+        live = live[:, None, None, :]  # broadcast over heads and queries
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
             normed = self._ln(f"enc.{l}.ln1", x)
             q, k, v = (self._linear(f"enc.{l}.self.{part}", normed) for part in "qkv")
-            a = self._attend(f"enc.{l}.self", q, k, v, mask)
+            a = self._attend(f"enc.{l}.self", q, k, v, live)
             x = add(x, dropout(a, cfg.dropout, train, rng))
             f = self._ffn(f"enc.{l}.ffn", self._ln(f"enc.{l}.ln2", x))
             x = add(x, dropout(f, cfg.dropout, train, rng))
-        return self._ln("enc.final_ln", x), mask
+        return self._ln("enc.final_ln", x), live
 
     def _cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
         """Every decoder layer's cross-attention (keys, values) over the memory."""
@@ -149,7 +143,7 @@ class TransformerSeq2Seq(Seq2Seq):
                 for l in range(self.config.dec_blocks)]
 
     def _dec_block(self, l: int, x: Tensor, cross: tuple[Tensor, Tensor],
-                   self_mask, cross_mask, past, train: bool, rng):
+                   self_live, cross_live, past, train: bool, rng):
         """Decoder block l over x [B, T, D].
 
         ``past`` is None or cached (keys, values) arrays that precede this
@@ -162,10 +156,10 @@ class TransformerSeq2Seq(Seq2Seq):
         if past is not None:
             k = concat([Tensor(past[0]), k], axis=1)
             v = concat([Tensor(past[1]), v], axis=1)
-        a = self._attend(f"dec.{l}.self", q, k, v, self_mask)
+        a = self._attend(f"dec.{l}.self", q, k, v, self_live)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         q = self._linear(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x))
-        a = self._attend(f"dec.{l}.cross", q, *cross, cross_mask)
+        a = self._attend(f"dec.{l}.cross", q, *cross, cross_live)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         f = self._ffn(f"dec.{l}.ffn", self._ln(f"dec.{l}.ln3", x))
         x = add(x, dropout(f, cfg.dropout, train, rng))
@@ -174,38 +168,38 @@ class TransformerSeq2Seq(Seq2Seq):
     def _logits(self, x: Tensor) -> Tensor:
         return self._linear("out", self._ln("dec.final_ln", x))
 
-    def _forced(self, src, src_len, mask, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
-        memory, mask = self._encode(src, mask, train, rng)
+    def _forced(self, src, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
+        memory, live = self._encode(src, live, train, rng)
         x = self._embed("emb.tgt", tgt_in, train, rng)
-        causal = causal_mask(tgt_in.shape[1])
+        causal = np.tri(tgt_in.shape[1], dtype=bool)  # no query sees a later position
         for l, cross in enumerate(self._cross_kv(memory)):
-            x, _ = self._dec_block(l, x, cross, causal, mask, None, train, rng)
+            x, _ = self._dec_block(l, x, cross, causal, live, None, train, rng)
         return self._logits(x)
 
     # -- decoding ------------------------------------------------------------
 
-    def _start(self, src: np.ndarray, src_len: np.ndarray, mask: np.ndarray) -> DecodeState:
-        """The decoder start of every source as the rows of one state.
+    def _start(self, src: np.ndarray, live: np.ndarray):
+        """The decoder start of every source, as (rows, shared) arrays.
 
         Shared per source: every decoder layer's cross-attention keys and
-        values, each [sources, S, D], then the padding mask [sources, 1, 1,
-        S].  Per row: every layer's cached self-attention keys and values,
-        each [N, steps, D].
+        values, each [sources, S, D], then the key mask [sources, 1, 1, S].
+        Per row: every layer's cached self-attention keys and values, each
+        [N, steps, D].
         """
-        memory, mask = self._encode(src, mask, False, None)
+        memory, live = self._encode(src, live, False, None)
         cross = [t.data for kv in self._cross_kv(memory) for t in kv]
         empty = np.zeros((len(src), 0, self.config.d_model))
-        return DecodeState(np.arange(len(src)), (empty,) * len(cross), (*cross, mask))
+        return (empty,) * len(cross), (*cross, live)
 
-    def _step(self, state: DecodeState, prev_ids: np.ndarray):
-        *cross, mask = state.shared
-        mask = mask[state.src]
+    def _step(self, state, prev_ids: np.ndarray):
+        *cross, live = state.shared
+        live = live[state.src]
         # the cached keys' length is the position of the fed ids
         x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=state.rows[0].shape[1])
         cache = []
         for l in range(self.config.dec_blocks):
             kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
             past = state.rows[2 * l:2 * l + 2]
-            x, (k, v) = self._dec_block(l, x, kv, None, mask, past, False, None)
+            x, (k, v) = self._dec_block(l, x, kv, None, live, past, False, None)
             cache += [k.data, v.data]
-        return self._logits(x), replace(state, rows=tuple(cache))
+        return self._logits(x), tuple(cache)

@@ -74,8 +74,8 @@ def _op_suite(rng):
     table_sel = rng.normal(size=(3, 4))
     gain = rng.uniform(0.5, 1.5, size=(4,))
     bias = rng.normal(size=(4,))
-    mask = np.zeros((3, 3))
-    mask[:, 2] = -1e9
+    mask = np.ones((3, 3), dtype=bool)
+    mask[:, 2] = False
     lw = rng.normal(size=(8, 6)) * 0.5
     lb = rng.normal(size=(8,))
     lh = rng.normal(size=(2,))
@@ -136,8 +136,8 @@ def _op_suite(rng):
     aq = merged(rng.normal(size=(2, 2, 3, 4)))
     akv = merged(rng.normal(size=(2, 2, 5, 4)))
     asel = merged(rng.normal(size=(2, 2, 3, 4)))
-    key_mask = np.zeros((2, 1, 1, 5))
-    key_mask[0, ..., 3:] = -1e9
+    key_mask = np.ones((2, 1, 1, 5), dtype=bool)
+    key_mask[0, ..., 3:] = False
 
     def attend(**leaf):
         a = {"q": T(aq), "k": T(akv), "v": T(akv), **leaf}
@@ -152,8 +152,8 @@ def _op_suite(rng):
     dv = rng.normal(size=(3,))
     dmemory = rng.normal(size=(2, 4, 2))
     dsel = rng.normal(size=(2, 2))[:, None]
-    pad_mask = np.zeros((2, 4))
-    pad_mask[1, 1:] = -1e9
+    pad_mask = np.ones((2, 4), dtype=bool)
+    pad_mask[1, 1:] = False
 
     def additive(sel=dsel, **leaf):
         a = {"q": T(dq), "keys": T(dkeys), "v": T(dv), "memory": T(dmemory), **leaf}

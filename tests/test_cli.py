@@ -131,6 +131,23 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert "error: at least one seed is required" in capsys.readouterr().err
     assert main(["train", "--config", str(good), "--seeds", "1,1"]) == 1
     assert "error: seeds lists [1] more than once" in capsys.readouterr().err
+    # malformed path fields and an empty architecture list are refused at
+    # load, not by a TypeError or by training nothing
+    blob = json.loads(good.read_text(encoding="utf-8"))
+    for key, value in (("out_dir", 5), ("dataset", ["a"]), ("architectures", [])):
+        (tmp_path / "malformed.json").write_text(json.dumps({**blob, key: value}),
+                                                 encoding="utf-8")
+        assert main(["train", "--config", str(tmp_path / "malformed.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+    # so is a wug file that repeats a candidate
+    wugs = tmp_path / "wugs.tsv"
+    wugs.write_text("# lang=en rating_scale=1,7\nspling\tsplinged\t4.1\tPST\tregular\n"
+                    "spling\tsplinged\t2.0\tPST\tregular\n", encoding="utf-8")
+    (tmp_path / "repeated.json").write_text(json.dumps({**blob, "wugs": str(wugs)}),
+                                            encoding="utf-8")
+    assert main(["train", "--config", str(tmp_path / "repeated.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {wugs}:3: repeated candidate")
     assert not (tmp_path / "out" / "checkpoints").exists()
 
     # so is a value the model refuses, even for an architecture that would
@@ -268,6 +285,11 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
                  "--merge", str(root / "run")]) == 1
     assert capsys.readouterr().err == ("error: units in more than one merged directory: "
                                        "['en/unilstm_attn/seed1']\n")
+    # a merge directory with no rows is named, not listed and skipped
+    assert main(["report", "--config", str(config_path),
+                 "--merge", str(tmp_path / "nonexistent")]) == 1
+    assert capsys.readouterr().err == ("error: no units.csv or accuracy.csv rows under "
+                                       f"{[str(tmp_path / 'nonexistent')]}\n")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,5 +1,7 @@
 """File formats, alphabet layout, German class labels, and splitting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,31 @@ def test_wug_validation(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_wugs(badrating)
     assert info.value.line == 2
+
+    # a repeated (lemma, form) would overwrite the first rating in the
+    # correlations, which key candidates by it
+    repeated = tmp_path / "e.tsv"
+    repeated.write_text("# lang=en rating_scale=1,7\n"
+                        "spling\tsplinged\t4.1\tPST\tregular\n"
+                        "spling\tsplang\t3.2\tPST\tirregular\n"
+                        "spling\tsplinged\t2.0\tPST\tregular\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(repeated))}:4: repeated"):
+        parse_wugs(repeated)
+
+    # classes follow the dataset rules: English regular or irregular,
+    # German the five classes or other
+    valid = {"en": "regular", "de": "e"}
+    for lang, cls in [("en", "regulr"), ("en", "other"), ("de", "en"), ("de", "regular")]:
+        misspelled = tmp_path / f"f-{lang}-{cls}.tsv"
+        misspelled.write_text(f"# lang={lang} rating_scale=1,7\n"
+                              f"spling\tsplinged\t4.1\tPST\t{valid[lang]}\n"
+                              f"spling\tsplang\t3.2\tPST\t{cls}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{re.escape(str(misspelled))}:3: .*class"):
+            parse_wugs(misspelled)
+    other = tmp_path / "g.tsv"
+    other.write_text("# lang=de rating_scale=1,5\nBral\tBralu\t3.0\tPL\tother\n",
+                     encoding="utf-8")
+    assert parse_wugs(other).items[0].candidates[0].cls == "other"
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,8 @@ def test_attention_grads(trial):
     q = nd.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     k = nd.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     v = nd.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-    mask = np.zeros((3, 5))
-    mask[:, 4] = -1e9
+    mask = np.ones((3, 5), dtype=bool)
+    mask[:, 4] = False
     sel = nd.Tensor(rng.normal(size=(2, 3, 4)))
     _check(lambda t: nd.sum_(nd.mul(nd.scaled_dot_product(t, k, v), sel)), q)
     _check(lambda t: nd.sum_(nd.mul(nd.scaled_dot_product(q, t, v), sel)), k)
@@ -213,8 +213,8 @@ def test_attention_grads(trial):
     q4 = _merge_heads(rng.normal(size=(2, 2, 3, 4)))
     kv4 = _merge_heads(rng.normal(size=(2, 2, 5, 4)))
     sel4 = nd.Tensor(_merge_heads(rng.normal(size=(2, 2, 3, 4))))
-    key_mask = np.zeros((2, 1, 1, 5))
-    key_mask[1, ..., 2:] = -1e9
+    key_mask = np.ones((2, 1, 1, 5), dtype=bool)
+    key_mask[1, ..., 2:] = False
 
     def attend(q, k, v):
         return nd.sum_(nd.mul(nd.scaled_dot_product(q, k, v, key_mask, heads=2), sel4))
@@ -230,8 +230,8 @@ def test_multi_head_attention_is_each_head_alone():
     q = rng.normal(size=(2, 4, heads * d_head))
     k = rng.normal(size=(2, 5, heads * d_head))
     v = rng.normal(size=(2, 5, heads * d_head))
-    mask = np.zeros((2, 1, 1, 5))
-    mask[0, ..., 3:] = -1e9
+    mask = np.ones((2, 1, 1, 5), dtype=bool)
+    mask[0, ..., 3:] = False
     out = nd.scaled_dot_product(nd.Tensor(q), nd.Tensor(k), nd.Tensor(v), mask, heads).data
     cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
     alone = [nd.scaled_dot_product(nd.Tensor(q[..., c]), nd.Tensor(k[..., c]),
@@ -239,16 +239,49 @@ def test_multi_head_attention_is_each_head_alone():
     np.testing.assert_allclose(out, np.concatenate(alone, axis=-1), rtol=0, atol=1e-12)
 
 
+def test_scaled_dot_product_live_mask_is_the_additive_mask():
+    # a key mask [B, 1, 1, S] as the transformer passes it: the first row's
+    # last two keys are dead, the second row's last four
+    rng = _rng(0)
+    heads, d_head = 2, 3
+    q, k, v = (rng.normal(size=(2, t, heads * d_head)) for t in (4, 5, 5))
+    live = np.ones((2, 1, 1, 5), dtype=bool)
+    live[0, ..., 3:] = False
+    live[1, ..., 1:] = False
+    leaves = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = nd.scaled_dot_product(*leaves, live, heads)
+
+    # the reference adds -1e9 at dead keys and 0.0 at live ones, bit for bit
+    def split(x):
+        return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 1, 3)
+
+    scores = np.matmul(split(q), split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head))
+    scores = scores + np.where(live, 0.0, -1e9)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(
+        out.data, _merge_heads(np.matmul(e / e.sum(axis=-1, keepdims=True), split(v))))
+
+    # dead keys and values neither reach the output nor receive a gradient
+    dead = ~live[:, 0, 0, :, None]
+    noisy_k, noisy_v = (np.where(dead, 1e6 * rng.normal(size=a.shape), a) for a in (k, v))
+    np.testing.assert_array_equal(
+        nd.scaled_dot_product(nd.Tensor(q), nd.Tensor(noisy_k), nd.Tensor(noisy_v),
+                              live, heads).data, out.data)
+    nd.backward(nd.sum_(nd.mul(out, nd.Tensor(rng.normal(size=out.shape)))))
+    for leaf in leaves[1:]:
+        np.testing.assert_array_equal(leaf.grad[np.broadcast_to(dead, leaf.shape)], 0.0)
+
+
 ATTN_LIVE = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])  # source lengths 4, 2, 1
 
 
 def _attention_inputs(rng):
     """two queries a row q [B, 2, A], keys [B, S, A], v [A], memory
-    [B, S, C] and the additive mask [B, S] of ``ATTN_LIVE``."""
+    [B, S, C] and the boolean mask [B, S] of ``ATTN_LIVE``."""
     batch, width = ATTN_LIVE.shape
     return (rng.normal(size=(batch, 2, 3)), rng.normal(size=(batch, width, 3)),
             rng.normal(size=(3,)), rng.normal(size=(batch, width, 2)),
-            np.where(ATTN_LIVE == 1, 0.0, -1e9))
+            ATTN_LIVE == 1)
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))

@@ -8,6 +8,7 @@ models can actually master in seconds.
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,8 @@ def test_config_from_dict_rejects_a_non_object(blob):
     ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.6, 0.5, 0.1]),
     ("seeds", [1, 1]), ("seeds", [3, 1, 3]),
     ("architectures", ["unilstm_noattn", "transformer", "unilstm_noattn"]),
+    ("architectures", []), ("out_dir", 5), ("out_dir", ""), ("dataset", ["a"]),
+    ("train", 5), ("dev", 1.5), ("test", {"path": "t"}), ("wugs", 3),
 ])
 def test_config_from_dict_rejects_bad_training_values(key, value):
     with pytest.raises(RunnerError, match=key):
@@ -715,6 +718,26 @@ def test_report_refuses_a_unit_in_two_directories(corpora, tmp_path):
                          ("copy", r"\['en/unilstm_noattn/seed2'\]")):
         with pytest.raises(RunnerError, match=units):
             run_report(config, [str(tmp_path / merge)])
+
+
+def test_report_refuses_a_merge_directory_without_rows(corpora, tmp_path):
+    # a missing or misspelled directory, or one with only correlations,
+    # would be listed in merged_dirs and contribute no unit
+    config = _en_config(corpora, tmp_path / "run", architectures=("unilstm_noattn",),
+                        seeds=(1,))
+    write_csv(tmp_path / "run" / "accuracy.csv", ACCURACY_HEADER,
+              [{"lang": "en", "model": "unilstm_noattn", "seed": 1, "class": "all",
+                "accuracy": 40.0}])
+    write_csv(tmp_path / "header-only" / "accuracy.csv", ACCURACY_HEADER, [])
+    for merge in ("nonexistent", "header-only"):
+        with pytest.raises(RunnerError, match=re.escape(repr([str(tmp_path / merge)]))):
+            run_report(config, [str(tmp_path / merge)])
+    assert not (tmp_path / "run" / "summary.json").exists()
+    # out_dir itself may hold no rows while a merged directory does
+    (tmp_path / "empty").mkdir()
+    empty_run = _en_config(corpora, tmp_path / "empty", architectures=("unilstm_noattn",),
+                           seeds=(1,))
+    assert run_report(empty_run, [str(tmp_path / "run")])["models"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from wugbench.seq2seq import (
     build_model,
     count_parameters,
 )
-from wugbench.seq2seq.transformer import causal_mask, positional_encoding
+from wugbench.seq2seq.transformer import positional_encoding
 
 TINY = dict(emb_dim=4, hidden_dim=3, attn_dim=3, enc_layers=2,
             d_model=8, ffn_dim=12, heads=2, enc_blocks=1, dec_blocks=1)
@@ -349,11 +349,3 @@ def test_positional_encoding_shape_and_values():
     np.testing.assert_allclose(pe[0, 0::2], 0.0, atol=1e-12)   # sin(0)
     np.testing.assert_allclose(pe[0, 1::2], 1.0, atol=1e-12)   # cos(0)
     assert abs(pe[3, 0] - math.sin(3.0)) < 1e-12
-
-
-def test_causal_mask_blocks_future():
-    m = causal_mask(4)
-    assert m.shape == (4, 4)
-    upper = np.triu(np.ones((4, 4), dtype=bool), k=1)
-    assert np.all(m[upper] <= -1e8)
-    np.testing.assert_array_equal(m[~upper], 0.0)
