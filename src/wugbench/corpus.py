@@ -293,7 +293,8 @@ def write_dataset(path, lang: str, examples: Sequence[InflectionExample]) -> Non
 def parse_wugs(path) -> WugSet:
     """Read a wug file: nonce lemmas, candidate forms, mean human ratings.
     Classes follow the dataset rules; the correlations key candidates by
-    (lemma, form), so a pair may appear once."""
+    (lemma, form), so a pair may appear once; and a lemma's candidates
+    carry one tag set, the one its productions are decoded from."""
     lines = _read_lines(path)
     header, header_line = _parse_header(path, lines, required=("lang", "rating_scale"))
     lang = header["lang"]
@@ -338,6 +339,8 @@ def parse_wugs(path) -> WugSet:
             raise ValidationError(
                 f"{path}:{lineno}: conflicting contexts for lemma {lemma!r}"
             )
+        elif by_lemma[lemma][0].tags != tags:
+            raise ValidationError(f"{path}:{lineno}: conflicting tags for lemma {lemma!r}")
         if any(cand.form == form for cand in by_lemma[lemma]):
             raise ValidationError(f"{path}:{lineno}: repeated candidate {lemma!r} {form!r}")
         by_lemma[lemma].append(WugCandidate(form, rating, tags, cls))

@@ -11,7 +11,8 @@ The stages are ``run_train``, ``run_eval``, ``run_wug`` and ``run_report``;
 over the units, which ``_units`` lists in report order (architectures in
 ``ARCHITECTURES`` order, then seeds ascending) whatever order the config
 gives, and writes the rows in the order they come back.  ``eval`` and
-``wug`` rebuild every model from the checkpoint ``train`` wrote.
+``wug`` rebuild every model from the checkpoint ``train`` wrote, and refuse
+one whose ``unit_identity`` (data and model config included) differs.
 ``run_report`` alone builds summary.json, from the CSVs.
 
 Everything emitted is byte-deterministic for a given config: row orders
@@ -31,6 +32,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -239,12 +241,41 @@ def report_classes(lang: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DataBundle:
+    """A run's examples and the alphabet that encodes them.  The model
+    input is derived here alone, once, on first use: each split's (source,
+    target) ids in split order, each wug candidate's in file order, and
+    each wug item's production source, from its candidates' one tag set."""
+
     lang: str
     train: tuple[cp.InflectionExample, ...]
     dev: tuple[cp.InflectionExample, ...]
     test: tuple[cp.InflectionExample, ...]
     wugs: cp.WugSet | None
     alphabet: cp.Alphabet
+
+    def _pair(self, tags: Sequence[str], lemma: str, form: str) -> tuple[list[int], list[int]]:
+        return self.alphabet.encode_source(tags, lemma), self.alphabet.encode_target(form)
+
+    @cached_property
+    def pairs(self) -> dict[str, list[tuple[list[int], list[int]]]]:
+        return {name: [self._pair(ex.tags, ex.lemma, ex.form) for ex in getattr(self, name)]
+                for name in ("train", "dev", "test")}
+
+    @cached_property
+    def wug_pairs(self) -> list[tuple[list[int], list[int]]]:
+        return [self._pair(cand.tags, item.lemma, cand.form)
+                for item in self.wugs.items for cand in item.candidates]
+
+    @cached_property
+    def wug_sources(self) -> list[list[int]]:
+        return [self.alphabet.encode_source(item.candidates[0].tags, item.lemma)
+                for item in self.wugs.items]
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the encoded train, dev and test pairs, in split order."""
+        canon = json.dumps(list(self.pairs.values()), separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _split(config: ExperimentConfig):
@@ -261,6 +292,8 @@ def _split(config: ExperimentConfig):
 
 
 def load_data(config: ExperimentConfig) -> DataBundle:
+    """The config's examples and wug set, and the alphabet over them all;
+    refuses files whose languages disagree."""
     if config.dataset is not None:
         lang, train, dev, test = _split(config)
     else:
@@ -282,11 +315,10 @@ def load_data(config: ExperimentConfig) -> DataBundle:
 # training one (arch, seed) unit
 
 
-def _greedy_accuracy(model, alphabet: cp.Alphabet,
-                     examples: Sequence[cp.InflectionExample]) -> float:
-    hyps = greedy_decode(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in examples])
-    return exact_match_accuracy([ex.form for ex in examples],
-                                [alphabet.decode(hyp.symbols) for hyp in hyps])
+def _greedy_accuracy(model, bundle: DataBundle) -> float:
+    hyps = greedy_decode(model, [source for source, _ in bundle.pairs["dev"]])
+    return exact_match_accuracy([ex.form for ex in bundle.dev],
+                                [bundle.alphabet.decode(hyp.symbols) for hyp in hyps])
 
 
 @dataclass
@@ -310,11 +342,7 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
     dropout_rng = seeded_rng(seed, DROPOUT_STREAM)
     shuffle_rng = seeded_rng(seed, SHUFFLE_STREAM)
     optim = Adam(model.params, lr=config.lr)
-    encoded = [
-        (bundle.alphabet.encode_source(ex.tags, ex.lemma),
-         bundle.alphabet.encode_target(ex.form))
-        for ex in bundle.train
-    ]
+    encoded = bundle.pairs["train"]
     outcome = TrainOutcome(bundle.lang, arch, seed, [], 0, -math.inf,
                            count_parameters(model))
     best_params: dict[str, np.ndarray] | None = None
@@ -342,7 +370,7 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
                         f"{arch} seed {seed}: non-finite gradient norm at epoch {epoch}"
                     )
                 optim.step(factor)  # the batch mean and the clip, applied as it updates
-            dev_acc = _greedy_accuracy(model, bundle.alphabet, bundle.dev)
+            dev_acc = _greedy_accuracy(model, bundle)
             outcome.curve_rows.append({
                 "lang": bundle.lang, "model": arch, "seed": seed, "epoch": epoch,
                 "train_loss": epoch_loss / len(encoded), "dev_accuracy": dev_acc,
@@ -370,11 +398,9 @@ def eval_test(model, bundle: DataBundle, beam_width: int, arch: str,
     Accuracy rows are 'all', then each class of ``report_classes`` that
     occurs in the gold test data; German F1 rows cover every class of
     ``report_classes``, in that order."""
-    alphabet = bundle.alphabet
-    beams = beam_search(model, [alphabet.encode_source(ex.tags, ex.lemma) for ex in bundle.test],
-                        beam_width)
+    beams = beam_search(model, [source for source, _ in bundle.pairs["test"]], beam_width)
     golds = [ex.form for ex in bundle.test]
-    preds = [alphabet.decode(beam.hyps[0].symbols) for beam in beams]
+    preds = [bundle.alphabet.decode(beam.hyps[0].symbols) for beam in beams]
     classes = [ex.cls for ex in bundle.test]
     acc_rows = [{
         "lang": bundle.lang, "model": arch, "seed": seed, "class": "all",
@@ -422,9 +448,7 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
     identity = f"{arch}-seed{seed}"
     items = bundle.wugs.items
     candidates = [(item, cand) for item in items for cand in item.candidates]
-    scores = force_score(model, [
-        (alphabet.encode_source(cand.tags, item.lemma), alphabet.encode_target(cand.form))
-        for item, cand in candidates])
+    scores = force_score(model, bundle.wug_pairs)
     rating_rows = [{
         "lemma": item.lemma, "form": cand.form, "class": cand.cls,
         "context": item.context or cand.cls, "seed": identity,
@@ -432,7 +456,7 @@ def score_wugs(model, bundle: DataBundle, config: ExperimentConfig, arch: str,
         "raw_logprob": score.raw_logprob,
     } for (item, cand), score in zip(candidates, scores)]
     rating_rows.sort(key=lambda r: (r["lemma"], r["form"]))
-    sources = [alphabet.encode_source(item.candidates[0].tags, item.lemma) for item in items]
+    sources = bundle.wug_sources
     if config.sample_productions:
         produced = [[alphabet.decode(h.symbols) for h in hyps] for hyps in sample_decode(
             model, sources, config.sample_productions, seeded_rng(seed, SAMPLE_STREAM))]
@@ -452,6 +476,20 @@ def checkpoint_path(out_dir, arch: str, seed: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"{arch}-seed{seed}.npz"
 
 
+def unit_identity(bundle: DataBundle, mcfg: ModelConfig, seed: int) -> dict:
+    """What a unit's checkpoint meta must match to be evaluated, data
+    included.  Training hyperparameters (epochs, lr, batch size, clip
+    norm) are left out, so ``train --epochs N`` then ``eval`` still works."""
+    return {"arch": mcfg.arch, "seed": seed, "alphabet": list(bundle.alphabet.symbols),
+            "model_config": mcfg.to_dict(), "data": bundle.digest}
+
+
+def _flat(identity: dict) -> dict:
+    """An identity with each model config field as a 'model_config.<field>' key."""
+    return {**{k: v for k, v in identity.items() if k != "model_config"},
+            **{f"model_config.{k}": v for k, v in (identity["model_config"] or {}).items()}}
+
+
 def _train_and_save(config: ExperimentConfig, bundle: DataBundle, arch: str,
                     seed: int) -> TrainOutcome:
     """Train one unit and write its checkpoint.  A diverged unit deletes
@@ -465,31 +503,28 @@ def _train_and_save(config: ExperimentConfig, bundle: DataBundle, arch: str,
     save_checkpoint(
         path, model.params,
         meta={
-            "arch": arch, "seed": seed, "language": bundle.lang,
+            **unit_identity(bundle, model.config, seed),
+            "language": bundle.lang,
             "best_epoch": outcome.best_epoch,
             "best_dev_accuracy": float(outcome.best_dev_accuracy),
             "param_count": outcome.param_count,
             "config_hash": config.hash(),
-            "model_config": model.config.to_dict(),
-            "alphabet": list(bundle.alphabet.symbols),
         })
     return outcome
 
 
 def _load_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: int):
-    """The unit's model rebuilt from its checkpoint, checked against data and config."""
+    """The unit's model rebuilt from its checkpoint.  Refuses a meta that
+    differs from the unit's identity, naming the path and the keys (e.g.
+    ``['data']``, ``model_config.hidden_dim``)."""
     path = checkpoint_path(config.out_dir, arch, seed)
     arrays, meta = load_checkpoint(path)
-    if tuple(meta.get("alphabet", ())) != bundle.alphabet.symbols:
-        raise RunnerError(f"{path}: checkpoint alphabet does not match the data")
     mcfg = config.model_config(arch, len(bundle.alphabet))
-    want = {f"model_config.{k}": v for k, v in mcfg.to_dict().items()}
-    got = {f"model_config.{k}": v for k, v in meta.get("model_config", {}).items()}
-    want.update(arch=arch, seed=seed)
-    got.update(arch=meta.get("arch"), seed=meta.get("seed"))
+    identity = unit_identity(bundle, mcfg, seed)
+    want, got = _flat(identity), _flat({k: meta.get(k) for k in identity})
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     if differ:
-        raise RunnerError(f"{path}: checkpoint does not match the config in {differ}")
+        raise RunnerError(f"{path}: checkpoint does not match the config and data in {differ}")
     model = build_model(mcfg, seeded_rng(seed, INIT_STREAM))
     restore_into(model.params, arrays)
     return model
@@ -720,6 +755,7 @@ def _class_stats(rows: Iterable[dict], col: str, by) -> dict[str, dict]:
 def _write_summary(path, summary: dict) -> None:
     # summary numbers pass through _finite or _corr_to_json, so none is NaN
     blob = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(blob + "\n")
 

@@ -239,6 +239,32 @@ def test_eval_refuses_checkpoint_of_other_model_config(workspace, tmp_path, caps
     assert not (tmp_path / "run" / "accuracy.csv").exists()
 
 
+@pytest.mark.parametrize("change", ["dataset", "split_seed"])
+def test_eval_refuses_checkpoint_of_other_data(tmp_path, capsys, change):
+    # the alphabet, the model config and the paths stay the same: only
+    # the data key of the checkpoint's identity tells the two apart
+    first = datagen.make_english(120, np.random.default_rng(3))
+    cp.write_dataset(tmp_path / "en.tsv", "en", first)
+    config = {"out_dir": str(tmp_path / "run"), "dataset": str(tmp_path / "en.tsv"),
+              "architectures": ["unilstm_noattn"], "seeds": [1], "epochs": 1,
+              "model_overrides": {"default": {"emb_dim": 8, "hidden_dim": 8, "attn_dim": 8}}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(config_path)]) == 0
+    if change == "dataset":
+        second = datagen.make_english(120, np.random.default_rng(4))
+        assert cp.build_alphabet(second) == cp.build_alphabet(first)
+        cp.write_dataset(tmp_path / "en.tsv", "en", second)
+    else:
+        config_path.write_text(json.dumps({**config, "split_seed": 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    ckpt = tmp_path / "run" / "checkpoints" / "unilstm_noattn-seed1.npz"
+    assert err == f"error: {ckpt}: checkpoint does not match the config and data in ['data']\n"
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
 def test_eval_refuses_truncated_checkpoint(workspace, tmp_path, capsys):
     root, config_path = workspace
     config = json.loads(config_path.read_text(encoding="utf-8"))
@@ -290,6 +316,13 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
                  "--merge", str(tmp_path / "nonexistent")]) == 1
     assert capsys.readouterr().err == ("error: no units.csv or accuracy.csv rows under "
                                        f"{[str(tmp_path / 'nonexistent')]}\n")
+    # a missing --out directory is made, as the CSV writers make theirs
+    fresh = tmp_path / "fresh" / "report"
+    assert main(["report", "--config", str(config_path), "--out", str(fresh),
+                 "--merge", str(root / "run")]) == 0
+    summary = json.loads((fresh / "summary.json").read_text(encoding="utf-8"))
+    assert summary["merged_dirs"] == [str(fresh), str(root / "run")]
+    assert summary["models"] == {} and "en/unilstm_attn" in summary["test_accuracy"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -338,6 +338,16 @@ def test_wug_validation(tmp_path):
                      encoding="utf-8")
     assert parse_wugs(other).items[0].candidates[0].cls == "other"
 
+    # an item's productions are decoded from one tag set, so its candidates
+    # share it; reordered tags encode differently and are refused too
+    for second in ("PL;FEM", "NEUT;PL"):
+        mixed = tmp_path / f"h-{second}.tsv"
+        mixed.write_text("# lang=de rating_scale=1,5\n"
+                         "Bral\tBrale\t3.0\tPL;NEUT\te\n"
+                         f"Bral\tBralen\t2.0\t{second}\t(e)n\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{re.escape(str(mixed))}:3: conflicting tags"):
+            parse_wugs(mixed)
+
 
 # ---------------------------------------------------------------------------
 # splitting

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,12 @@ from wugbench.runner import (
     run_split,
     run_train,
     run_wug,
+    score_wugs,
     train_unit,
+    unit_identity,
     write_csv,
 )
-from wugbench.seq2seq import ARCHITECTURES, build_model
+from wugbench.seq2seq import ARCHITECTURES, ModelConfig, build_model
 
 TINY_DIMS = {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6, "enc_layers": 2,
              "d_model": 8, "ffn_dim": 16, "heads": 2, "enc_blocks": 1,
@@ -264,7 +267,7 @@ def test_train_unit_restores_best_checkpoint(corpora, tmp_path):
     assert outcome.best_dev_accuracy == max(accs)
     # the returned model really is the best-epoch snapshot
     from wugbench.runner import _greedy_accuracy
-    assert _greedy_accuracy(model, bundle.alphabet, bundle.dev) == pytest.approx(
+    assert _greedy_accuracy(model, bundle) == pytest.approx(
         outcome.best_dev_accuracy)
 
 
@@ -295,6 +298,29 @@ def test_train_unit_step_is_the_mean_gradient_update(corpora, tmp_path, arch):
         x = p.data.copy()
         _whole_array_adam(x, means[k], np.zeros_like(x), np.zeros_like(x), 1, lr=config.lr)
         assert np.array_equal(trained.params[k].data, x), k
+
+
+def test_units_read_the_ids_the_bundle_derived(corpora, tmp_path, monkeypatch):
+    # the bundle derives every id once; training, test decoding, wug
+    # scoring and the checkpoint identity read them and encode nothing
+    from wugbench.runner import _eval_unit, _train_and_save, _wug_unit
+    config = _en_config(corpora, tmp_path, architectures=("unilstm_attn",), epochs=1,
+                        sample_productions=2)
+    bundle = load_data(config)
+    bundle.pairs, bundle.wug_pairs, bundle.wug_sources, bundle.digest  # derived before the stubs
+
+    def refuse(*args):
+        raise AssertionError("encoded outside the bundle")
+    monkeypatch.setattr(cp.Alphabet, "encode_source", refuse)
+    monkeypatch.setattr(cp.Alphabet, "encode_target", refuse)
+    outcome, model = train_unit(config, bundle, "unilstm_attn", 1)
+    assert not outcome.diagnostic
+    acc_rows, _ = eval_test(model, bundle, config.beam_width, "unilstm_attn", 1)
+    rating_rows, _ = score_wugs(model, bundle, config, "unilstm_attn", 1)
+    # the same unit through its checkpoint gives the same rows
+    assert not _train_and_save(config, bundle, "unilstm_attn", 1).diagnostic
+    assert _eval_unit(config, bundle, "unilstm_attn", 1)[0] == acc_rows
+    assert _wug_unit(config, bundle, "unilstm_attn", 1)[1] == rating_rows
 
 
 def test_train_unit_reports_divergence(corpora, tmp_path):
@@ -526,6 +552,15 @@ def test_checkpoints_written_with_meta(en_run):
     assert meta["config_hash"] == config.hash()
     assert meta["model_config"]["hidden_dim"] == TINY_DIMS["hidden_dim"]
     assert sum(a.size for a in arrays.values()) == meta["param_count"]
+    # the fields the benchmark's checkpoint check rebuilds the model from
+    bundle = load_data(config)
+    mcfg = config.model_config("bilstm_attn", len(bundle.alphabet))
+    assert ModelConfig(**meta["model_config"]) == mcfg
+    assert meta["alphabet"] == list(bundle.alphabet.symbols)
+    units = {row["model"]: int(row["param_count"]) for row in read_csv_rows(out / "units.csv")}
+    assert meta["param_count"] == units["bilstm_attn"]
+    identity = unit_identity(bundle, mcfg, 1)
+    assert {k: meta[k] for k in identity} == identity
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +897,41 @@ def test_compute_correlations_tracks_direction(corpora):
     assert math.isnan(by_group["irregular"]["pearson_r"])
     assert by_group["regular"]["n"] == len(wugs.items)
     assert by_group["regular"]["spearman_rho"] == pytest.approx(1.0)
+
+
+def test_planted_human_ratings_correlate_perfectly(en_run, tmp_path):
+    # human ratings planted as an increasing linear map of bilstm_attn's
+    # seed-mean normalized probability: the join of ratings rows to
+    # candidates and the statistics must give rho = r = 1 in every group
+    config, out, _ = en_run
+    shutil.copytree(out / "checkpoints", tmp_path / "checkpoints")
+    shutil.copy(out / "units.csv", tmp_path / "units.csv")
+    probs: dict[tuple[str, str], list[float]] = {}
+    for row in read_csv_rows(out / "ratings.csv"):
+        if row["seed"].startswith("bilstm_attn-"):
+            probs.setdefault((row["lemma"], row["form"]), []).append(
+                float(row["normalized_prob"]))
+    mean = {key: float(np.mean(values)) for key, values in probs.items()}
+    low, high = min(mean.values()), max(mean.values())
+    assert low < high
+    lo, hi = cp.parse_wugs(config.wugs).scale
+    lines = Path(config.wugs).read_text(encoding="utf-8").splitlines()
+    planted = lines[:1]
+    for line in lines[1:]:
+        parts = line.split("\t")
+        parts[2] = repr(lo + (hi - lo) * (mean[(parts[0], parts[1])] - low) / (high - low))
+        planted.append("\t".join(parts))
+    (tmp_path / "planted.tsv").write_text("\n".join(planted) + "\n", encoding="utf-8")
+
+    run_wug(dataclasses.replace(config, out_dir=str(tmp_path),
+                                wugs=str(tmp_path / "planted.tsv")))
+    assert (tmp_path / "ratings.csv").read_bytes() == (out / "ratings.csv").read_bytes()
+    rows = [row for row in read_csv_rows(tmp_path / "correlations.csv")
+            if row["model"] == "bilstm_attn" and int(row["n"]) >= 2]
+    assert {row["group"] for row in rows} == {"all", *cp.ENGLISH_CLASSES}
+    for row in rows:
+        assert abs(float(row["spearman_rho"]) - 1) <= 1e-12, row
+        assert abs(float(row["pearson_r"]) - 1) <= 1e-12, row
 
 
 # ---------------------------------------------------------------------------
