@@ -354,11 +354,14 @@ def parse_wugs(path) -> WugSet:
 
 
 def write_wugs(path, wugs: WugSet) -> None:
+    """Write ``wugs`` so that ``parse_wugs`` reads it back equal: numbers
+    take their shortest round-trip form."""
     lo, hi = wugs.scale
-    rows = [f"# lang={wugs.lang} rating_scale={lo:g},{hi:g}"]
+    rows = [f"# lang={wugs.lang} rating_scale={float(lo)!r},{float(hi)!r}"]
     for item in wugs.items:
         for cand in item.candidates:
-            row = f"{item.lemma}\t{cand.form}\t{cand.rating:g}\t{';'.join(cand.tags)}\t{cand.cls}"
+            row = (f"{item.lemma}\t{cand.form}\t{float(cand.rating)!r}"
+                   f"\t{';'.join(cand.tags)}\t{cand.cls}")
             if item.context:
                 row += f"\t{item.context}"
             rows.append(row)

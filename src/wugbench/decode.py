@@ -1,23 +1,26 @@
 """Decoding: greedy, beam search, ancestral sampling, forced scoring.
 
 Everything here drives a model through the one protocol of
-``seq2seq.model``.  Greedy, sampling and beam search take a list of
-sources and work through it in chunks of ``CHUNK``: each chunk is encoded
-as one padded pass, and every live hypothesis of every source in it
-advances as one row of a single ``decode_step_batch`` call, as in
-fairseq's batched generator (Ott et al. 2019).  Greedy and sampling share
-one loop of independent rows, one per (source, draw), that differ only in
-how a row picks its next symbol.  Ranking, tie-breaks and the length cap
-stay per source, and a row leaves the batch once it is done.  Beam search
-keeps only each source's ``width`` best finished hypotheses and retires a
-source as soon as its result is decided (Huang et al. 2017): when the last
-of them scores strictly above its best live hypothesis.  Raw
-log-probability never rises as a prefix extends: a step's probabilities
-are at most 1, so it adds log p <= 0, also in floating point.  The stop is
-therefore exact.  Forced scoring runs each chunk of (source, target) pairs
-through one padded ``teacher_forced_logprobs`` pass, the pass training
-runs.  Symbol sequences in hypotheses never include the start id; the end
-id is consumed (its probability counts toward the score) but not stored.
+``seq2seq.model``.  Greedy, sampling and beam search run one search loop,
+as fairseq's ``SequenceGenerator`` runs its search strategies (Ott et al.
+2019).  It takes a list of sources and works through it in chunks of
+``CHUNK``: each chunk is encoded as one padded pass, and every live
+hypothesis of every search in it advances as one row of a single
+``decode_step_batch`` call.  A search keeps its ``width`` best finished
+hypotheses, and a strategy only chooses each search's next symbols:
+beam search takes the ``width`` best continuations, greedy is the width-1
+beam, and a sampled draw is a width-1 search that draws its next symbol
+through the CDF, ``draws`` searches per source.  Ranking, tie-breaks and
+the length cap stay per search, and a search leaves the batch once it is
+done.  A search retires as soon as its result is decided (Huang et al.
+2017): when the last of its ``width`` finished hypotheses scores strictly
+above its best live one.  Raw log-probability never rises as a prefix
+extends: a step's probabilities are at most 1, so it adds log p <= 0,
+also in floating point.  The stop is therefore exact.  Forced scoring
+runs each chunk of (source, target) pairs through one padded
+``teacher_forced_logprobs`` pass, the pass training runs.  Symbol
+sequences in hypotheses never include the start id; the end id is
+consumed (its probability counts toward the score) but not stored.
 """
 
 from __future__ import annotations
@@ -80,82 +83,53 @@ def _chunks(items: list) -> list[list]:
     return [items[start:start + CHUNK] for start in range(0, len(items), CHUNK)]
 
 
-def _extend(model, logprobs, state, prev_ids):
-    """One decoding step for rows fed ``prev_ids``: returns the model's
-    probabilities [N, V], the scores of every continuation, logprob +
-    log P(sym) as [N, V], and the stepped state.  Every decode loop steps
-    through here, so greedy scores exactly what beam search scores."""
-    probs, state = model.decode_step_batch(state, prev_ids)
-    with np.errstate(divide="ignore"):
-        return probs, np.asarray(logprobs)[:, None] + np.log(probs), state
-
-
-def _decode(run, model, sources, max_len: int | None, caller: str, *args) -> list:
-    """``run(model, sources, max_lens, *args)`` on each chunk of sources,
-    every source capped at ``max_len`` or its default length."""
+def _decode(model, sources, max_len: int | None, caller: str, width: int, draws: int,
+            choose) -> list[Beam]:
+    """``_search_chunk`` on each chunk of sources, every source capped at
+    ``max_len`` or its default length."""
     if max_len is not None and max_len < 1:
         raise ContractError(f"{caller}: max_len must be >= 1, got {max_len}")
     sources = [list(s) for s in sources]
     max_lens = [default_max_len(s) if max_len is None else max_len for s in sources]
-    return [result for chunk, lens in zip(_chunks(sources), _chunks(max_lens))
-            for result in run(model, chunk, lens, *args)]
+    return [beam for chunk, lens in zip(_chunks(sources), _chunks(max_lens))
+            for beam in _search_chunk(model, chunk, lens, width, draws, choose)]
+
+
+def _best(probs, scores, width: int):
+    """Beam search's choice: the ``width`` best continuations.  A search's
+    prefixes share one length and sit in symbol order, so flat index order
+    is symbol order and a stable sort breaks score ties by symbols."""
+    return np.argsort(-scores.ravel(), kind="stable")[:width]
 
 
 def greedy_decode(model, sources, max_len: int | None = None) -> list[Hypothesis]:
     """Follow the argmax at every step (ties break to the lowest id); one
-    hypothesis per source."""
-    return _decode(_rows_chunk, model, sources, max_len, "greedy_decode",
-                   lambda probs, scores: scores.argmax(axis=1))
+    hypothesis per source.  This is the width-1 beam."""
+    return [beam.hyps[0] for beam in
+            _decode(model, sources, max_len, "greedy_decode", 1, 1, _best)]
 
 
 def sample_decode(model, sources, draws: int, rng: np.random.Generator,
                   max_len: int | None = None) -> list[list[Hypothesis]]:
     """Draw ``draws`` sequences per source from the model distribution.
 
-    Each live row takes one uniform from ``rng`` per step, in row order,
-    and maps it through its distribution's CDF, so a zero-probability
-    symbol is never drawn and results depend only on the ``rng`` state.
+    Each draw is a width-1 search that draws its next symbol: every live
+    draw takes one uniform from ``rng`` per step, in source-then-draw
+    order, and maps it through its distribution's CDF, so a
+    zero-probability symbol is never drawn and results depend only on the
+    ``rng`` state.
     """
     if draws < 1:
         raise ContractError(f"sample_decode: draws must be >= 1, got {draws}")
 
-    def pick(probs, scores):
-        cdf = np.cumsum(probs, axis=1)
-        cdf /= cdf[:, -1:]  # the last entry is exactly 1, above every uniform
-        return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+    def draw(probs, scores, width: int):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]  # the last entry is exactly 1, above every uniform
+        return [np.count_nonzero(cdf <= rng.random())]
 
-    hyps = _decode(_rows_chunk, model, sources, max_len, "sample_decode", pick, draws)
+    hyps = [beam.hyps[0] for beam in
+            _decode(model, sources, max_len, "sample_decode", 1, draws, draw)]
     return [hyps[first:first + draws] for first in range(0, len(hyps), draws)]
-
-
-def _rows_chunk(model, sources, max_lens, pick, draws: int = 1) -> list[Hypothesis]:
-    """``draws`` independent rows per source, source-major.  Each step
-    ``pick(probs, scores)`` gives every live row its next symbol; a row is
-    done when it picks the end id or reaches its source's cap."""
-    state = model.encode(sources).take(np.repeat(np.arange(len(sources)), draws))
-    caps = np.repeat(max_lens, draws)
-    rows = list(range(len(caps)))  # the hypothesis of each row
-    symbols: list[list[int]] = [[] for _ in rows]
-    logprobs, prev = np.zeros(len(rows)), [BOS] * len(rows)
-    done: list[Hypothesis | None] = [None] * len(rows)
-    for step in range(max(max_lens)):
-        probs, scores, state = _extend(model, logprobs, state, prev)
-        prev = pick(probs, scores)
-        logprobs = scores[np.arange(len(rows)), prev]
-        keep = []
-        for row, h in enumerate(rows):
-            ended = bool(prev[row] == EOS)
-            if not ended:
-                symbols[h].append(int(prev[row]))
-            if ended or step + 1 == caps[h]:
-                done[h] = Hypothesis(tuple(symbols[h]), float(logprobs[row]), ended)
-            else:
-                keep.append(row)
-        if not keep:
-            break
-        rows, logprobs, prev = [rows[row] for row in keep], logprobs[keep], prev[keep]
-        state = state.take(keep)
-    return done
 
 
 def beam_search(model, sources, width: int, max_len: int | None = None) -> list[Beam]:
@@ -180,34 +154,37 @@ def beam_search(model, sources, width: int, max_len: int | None = None) -> list[
     """
     if width < 1:
         raise ContractError(f"beam_search: width must be >= 1, got {width}")
-    return _decode(_beam_chunk, model, sources, max_len, "beam_search", width)
+    return _decode(model, sources, max_len, "beam_search", width, 1, _best)
 
 
 def _rank(hyp: Hypothesis):
     return -hyp.logprob, hyp.symbols
 
 
-def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
-    state = model.encode(sources)
-    # per source, (symbols, logprob) of its live hypotheses in symbol order
-    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in sources]
-    finished: list[list[Hypothesis]] = [[] for _ in sources]
-    stepping = list(range(len(sources)))  # sources with rows in the state, in row order
+def _search_chunk(model, sources, max_lens, width: int, draws: int, choose) -> list[Beam]:
+    """``draws`` searches per source, source-major, one ``Beam`` each.  Each
+    step ``choose(probs, scores, width)`` gives every stepping search its
+    next symbols best-first, as flat indices into its rows' [live, V]
+    probabilities and scores (logprob + log P(sym))."""
+    state = model.encode(sources).take(np.repeat(np.arange(len(sources)), draws))
+    caps = np.repeat(max_lens, draws)
+    # per search, (symbols, logprob) of its live hypotheses in symbol order
+    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in caps]
+    finished: list[list[Hypothesis]] = [[] for _ in caps]
+    stepping = list(range(len(caps)))  # searches with rows in the state, in row order
     for step in range(max(max_lens)):
         hyps = [h for s in stepping for h in live[s]]
-        _, scores, state = _extend(model, [lp for _, lp in hyps], state,
-                                   [sym[-1] if sym else BOS for sym, _ in hyps])
+        probs, state = model.decode_step_batch(state, [sym[-1] if sym else BOS for sym, _ in hyps])
+        with np.errstate(divide="ignore"):
+            scores = np.array([lp for _, lp in hyps])[:, None] + np.log(probs)
         parents, still, first = [], [], 0
         for s in stepping:
-            block = scores[first:first + len(live[s])]
-            # a source's prefixes share one length and sit in symbol order,
-            # so flat index order is symbol order and a stable sort breaks
-            # score ties by symbols
+            rows = slice(first, first + len(live[s]))
             kids, ended = [], []
-            for flat in np.argsort(-block.ravel(), kind="stable")[:width]:
-                i, sym = divmod(int(flat), block.shape[1])
+            for flat in choose(probs[rows], scores[rows], width):
+                i, sym = divmod(int(flat), probs.shape[1])
                 symbols = live[s][i][0] + (sym,)
-                logprob = float(block[i, sym])
+                logprob = float(scores[first + i, sym])
                 if sym == EOS:
                     ended.append(Hypothesis(symbols[:-1], logprob, True))
                 else:
@@ -216,13 +193,13 @@ def _beam_chunk(model, sources, max_lens, width: int) -> list[Beam]:
                 finished[s] = sorted(finished[s] + ended, key=_rank)[:width]
             # kids are still best-first.  Once the width-th finished
             # hypothesis beats the best kid outright, no extension can enter
-            # the top width (see beam_search) and the source is decided
+            # the top width (see beam_search) and the search is decided
             decided = (len(finished[s]) == width and bool(kids)
                        and finished[s][-1].logprob > kids[0][1])
             kids.sort(key=lambda kid: kid[0])
             first += len(live[s])
             live[s] = [(symbols, logprob) for symbols, logprob, _ in kids]
-            if kids and step + 1 < max_lens[s] and not decided:
+            if kids and step + 1 < caps[s] and not decided:
                 still.append(s)
                 parents += [parent for *_, parent in kids]
         if not still:

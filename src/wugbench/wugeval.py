@@ -155,17 +155,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 def average_ranks(x: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

@@ -255,6 +255,18 @@ def test_wug_roundtrip(tmp_path):
     back = parse_wugs(path)
     assert back == original
 
+    # every digit survives: a rating of 4 + 1/3, and scale bounds that agree
+    # in their first six significant digits
+    fine = WugSet("en", (1.0, 1.00000075), (
+        WugItem("spling", (WugCandidate("splinged", 1.0 + 1 / 3 * 1e-6, ("PST",), "regular"),)),
+    ))
+    thirds = WugSet("de", (1.0, 5.0), (
+        WugItem("Bral", (WugCandidate("Brale", 4 + 1 / 3, ("PL",), "e"),)),
+    ))
+    for wugs in (fine, thirds):
+        write_wugs(path, wugs)
+        assert parse_wugs(path) == wugs
+
 
 def test_wug_context_column_is_optional(tmp_path):
     path = tmp_path / "wugs.tsv"

@@ -341,6 +341,47 @@ def test_sampled_score_matches_rescoring():
         assert hyp.logprob == pytest.approx(want, abs=1e-12)
 
 
+def reference_draws(model: TableModel, sources, draws: int, rng) -> list[list[tuple]]:
+    """(symbols, finished, logprob) of each draw, stepped one table lookup
+    at a time: every live draw, in source-then-draw order, takes one
+    uniform per step and maps it through its distribution's CDF."""
+    out = [[None] * draws for _ in sources]
+    live = [(s, d, (), 0.0) for s in range(len(sources)) for d in range(draws)]
+    while live:
+        still = []
+        for s, d, prefix, logprob in live:
+            probs = model.table.get(prefix, np.full(model.vocab_size, 1.0 / model.vocab_size))
+            cdf = np.cumsum(probs) / probs.sum()
+            sym = int((cdf <= rng.random()).sum())
+            logprob += math.log(probs[sym])
+            if sym == EOS:
+                out[s][d] = (prefix, True, logprob)
+            elif len(prefix) + 1 == default_max_len(sources[s]):
+                out[s][d] = (prefix + (sym,), False, logprob)
+            else:
+                still.append((s, d, prefix + (sym,), logprob))
+        live = still
+    return out
+
+
+def test_sampling_draw_order_is_source_then_draw():
+    # the end id is rare, so some draws end by it at many different steps
+    # and others run to their source's cap, 11 to 14 steps: the live draws,
+    # and so the uniform each one takes, change from step to step
+    model = random_table_model(np.random.default_rng(31), vocab_size=8, depth=2, eos_boost=0.5)
+    sources = [[3] * (1 + i % 4) for i in range(CHUNK)]
+    got = sample_decode(model, sources, 3, np.random.default_rng(32))
+    want = reference_draws(model, sources, 3, np.random.default_rng(32))
+    assert [[(h.symbols, h.finished) for h in row] for row in got] == [
+        [(symbols, finished) for symbols, finished, _ in row] for row in want]
+    for row, want_row in zip(got, want):
+        for hyp, (_, _, logprob) in zip(row, want_row):
+            assert hyp.logprob == pytest.approx(logprob, abs=1e-12)
+    ends = [(len(h.symbols), h.finished) for row in got for h in row]
+    assert len({n for n, finished in ends if finished}) >= 3
+    assert len({n for n, finished in ends if not finished}) >= 3
+
+
 def test_sampling_never_draws_a_zero_probability_symbol():
     # pad, start and the last id (3 of 6) get no mass after any prefix a draw
     # can reach, so an off-by-one in the inverse CDF would show
