@@ -485,9 +485,12 @@ def unit_identity(bundle: DataBundle, mcfg: ModelConfig, seed: int) -> dict:
 
 
 def _flat(identity: dict) -> dict:
-    """An identity with each model config field as a 'model_config.<field>' key."""
+    """An identity with each model config field as a 'model_config.<field>'
+    key; a model config that is not an object stays one value."""
+    if not isinstance(identity["model_config"], dict):
+        return identity
     return {**{k: v for k, v in identity.items() if k != "model_config"},
-            **{f"model_config.{k}": v for k, v in (identity["model_config"] or {}).items()}}
+            **{f"model_config.{k}": v for k, v in identity["model_config"].items()}}
 
 
 def _train_and_save(config: ExperimentConfig, bundle: DataBundle, arch: str,
@@ -551,7 +554,7 @@ def _trained_units(config: ExperimentConfig) -> list[tuple[str, int]]:
     """The configured units that units.csv does not record as diverged.
     Each must have a checkpoint, or this raises naming those without."""
     units_csv = Path(config.out_dir) / "units.csv"
-    diverged = {(row["model"], int(row["seed"])) for row in read_csv_rows(units_csv)
+    diverged = {(row["model"], int(row["seed"])) for row in _read_back(units_csv, UNITS_HEADER)
                 if row["diagnostic"]} if units_csv.exists() else set()
     trained = [unit for unit in _units(config) if unit not in diverged]
     missing = [f"{arch}-seed{seed}" for arch, seed in trained
@@ -618,8 +621,24 @@ def _finite(value) -> float | None:
 
 
 def read_csv_rows(path) -> list[dict]:
+    return _read_back(path, ())
+
+
+def _read_back(path, header: Sequence[str]) -> list[dict]:
+    """A CSV's rows as dicts.  Refuses a file whose header lacks a column of
+    ``header``, and a row with fewer fields than the file's header."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [col for col in header if col not in (reader.fieldnames or ())]
+        if missing:
+            raise RunnerError(f"{path}: the header lacks the columns {missing}")
+        rows = []
+        for row in reader:
+            if None in row.values():
+                raise RunnerError(f"{path}: line {reader.line_num} has fewer fields "
+                                  "than the header")
+            rows.append(row)
+    return rows
 
 
 def _arch_rank(arch: str) -> tuple[int, str]:
@@ -844,7 +863,8 @@ def run_wug(config: ExperimentConfig) -> None:
               compute_production_rows(bundle.lang, outcomes_by_arch, bundle.wugs))
 
 
-REPORT_INPUTS = ("units.csv", "accuracy.csv", "f1.csv", "correlations.csv")
+REPORT_INPUTS = {"units.csv": UNITS_HEADER, "accuracy.csv": ACCURACY_HEADER,
+                 "f1.csv": F1_HEADER, "correlations.csv": CORRELATIONS_HEADER}
 
 
 def run_report(config: ExperimentConfig, merge_dirs: Sequence[str] = ()) -> dict:
@@ -856,8 +876,8 @@ def run_report(config: ExperimentConfig, merge_dirs: Sequence[str] = ()) -> dict
     in two directories would count its seed twice in every sd, and a merged
     directory without rows would add nothing: both are refused."""
     dirs = [Path(config.out_dir), *map(Path, merge_dirs)]
-    tables = [{name: read_csv_rows(d / name) if (d / name).exists() else []
-               for name in REPORT_INPUTS} for d in dirs]
+    tables = [{name: _read_back(d / name, header) if (d / name).exists() else []
+               for name, header in REPORT_INPUTS.items()} for d in dirs]
     # out_dir alone may hold no rows, when a merged directory holds some
     empty = [str(d) for i, (d, t) in enumerate(zip(dirs, tables))
              if not (t["units.csv"] or t["accuracy.csv"]) and (i or not merge_dirs)]

@@ -23,10 +23,12 @@ a row carries its last real state to the end, going backward its zero
 start state waits for its last symbol, so the final states sit at the last
 position and the first.  Attention masks padded source positions; padded
 targets come last, and the loss head reads 0 there.
-Decoding works the same way: ``_start`` runs many sources as one padded
-pass, and ``_step`` steps every greedy, sampled or beam hypothesis of every
-source as one row, attending over its own source's memory and live mask.
-``Seq2Seq`` pads, masks, builds the states and reads the probabilities.
+Decoding works the same way: ``_encode``, the entry teacher forcing uses
+too, runs many sources as one padded pass, and ``_step`` steps every
+greedy, sampled or beam hypothesis of every source as one row, attending
+over the memory, keys and live mask of its own source, which ``Seq2Seq``
+gathers.  ``Seq2Seq`` pads, masks, builds and stores the states and reads
+the probabilities; the hooks see only Tensors and masks.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ class LSTMSeq2Seq(Seq2Seq):
     # -- encoder -----------------------------------------------------------
 
     def _encode(self, src: np.ndarray, live: np.ndarray, train: bool, rng):
-        """Decoder start for padded source ids [B, S] with live mask [B, S]: the
-        rows' state concat([h, c]) [B, 1, 2H] and the context [B, 1, ctx_dim] fed
-        with the first input, then, attentional only, the memory [B, S, ctx_dim]
-        and its pre-projected keys [B, S, attn_dim]."""
+        """Decoder start for padded source ids [B, S] with live mask [B, S]:
+        rows (state concat([h, c]) [B, 1, 2H], context [B, 1, ctx_dim] fed
+        with the first input) and, attentional only, shared (memory
+        [B, S, ctx_dim], its pre-projected keys [B, S, attn_dim])."""
         cfg, H = self.config, self.config.hidden_dim
         batch, width = src.shape
         zero = Tensor(np.zeros((batch, 1, 2 * H)))
@@ -117,21 +119,13 @@ class LSTMSeq2Seq(Seq2Seq):
         c0 = tanh(affine(c_fin, self.params["bridge.c.w"], self.params["bridge.c.b"]))
         state = concat([h0, c0], axis=2)
         if not self.attention:
-            return state, h_fin, None, None
-        return (state, Tensor(np.zeros((batch, 1, self.ctx_dim))), xs,
-                affine(xs, self.params["attn.key.w"]))
-
-    def _start(self, src: np.ndarray, live: np.ndarray):
-        """The decoder start of every source: per row its state and context;
-        the attentional memory, keys and live mask are shared per source."""
-        state, ctx, memory, keys = self._encode(src, live, False, None)
-        shared = (memory.data, keys.data, live) if self.attention else ()
-        return (state.data, ctx.data), shared
+            return (state, h_fin), ()
+        return ((state, Tensor(np.zeros((batch, 1, self.ctx_dim)))),
+                (xs, affine(xs, self.params["attn.key.w"])))
 
     # -- decoder -----------------------------------------------------------
 
-    def _cell(self, prev_ids: np.ndarray, state: Tensor, ctx: Tensor,
-              memory: Tensor | None, keys: Tensor | None, live: np.ndarray | None):
+    def _cell(self, prev_ids, state: Tensor, ctx: Tensor, live, memory=None, keys=None):
         """Feed prev_ids [N] to every row; returns the rows' new state
         [N, 1, 2H], their h [N, 1, H] and their context [N, 1, ctx_dim]."""
         H = self.config.hidden_dim
@@ -143,22 +137,18 @@ class LSTMSeq2Seq(Seq2Seq):
             ctx = additive_attention(q, keys, self.params["attn.v"], memory, live)
         return out, h, ctx
 
-    def _step(self, state, prev_ids: np.ndarray):
-        memory = keys = live = None
-        if self.attention:
-            memory, keys, live = (a[state.src] for a in state.shared)
-            memory, keys = Tensor(memory), Tensor(keys)
-        hc, h, ctx = self._cell(prev_ids, *(Tensor(a) for a in state.rows), memory, keys, live)
+    def _step(self, rows, shared, live, prev_ids: np.ndarray):
+        hc, h, ctx = self._cell(prev_ids, *rows, live, *shared)
         logits = affine(concat([h, ctx], axis=2), self.params["out.w"], self.params["out.b"])
-        return logits, (hc.data, ctx.data)
+        return logits, (hc, ctx)
 
     # -- teacher forcing ---------------------------------------------------
 
-    def _forced(self, src, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
-        state, ctx, memory, keys = self._encode(src, live, train, rng)
+    def _forced(self, rows, shared, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
+        state, ctx = rows
         feats = []
         for prev in tgt_in.T:
-            state, h, ctx = self._cell(prev, state, ctx, memory, keys, live)
+            state, h, ctx = self._cell(prev, state, ctx, live, *shared)
             feats.append(concat([h, ctx], axis=2))
         f = dropout(concat(feats, axis=1), self.config.dropout, train, rng)
         return affine(f, self.params["out.w"], self.params["out.b"])

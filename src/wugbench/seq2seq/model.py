@@ -64,9 +64,9 @@ def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray]:
 class DecodeState:
     """Decoder state of N rows, each a hypothesis of one encoded source.
 
-    ``shared`` holds a model's per-source arrays (first axis: source); a step
-    gathers its rows' slices through ``src`` [N], each row's source, and
-    ``take`` leaves them alone.  ``rows`` holds the per-row arrays (first axis: row).
+    ``shared`` holds a model's per-source arrays, then the live mask (first
+    axis: source); a step gathers its rows' slices through ``src`` [N], each
+    row's source, and ``take`` leaves them alone.  ``rows`` holds the per-row arrays.
     """
 
     src: np.ndarray
@@ -83,35 +83,41 @@ class DecodeState:
 
 
 class Seq2Seq:
-    """The protocol around a subclass's network, which it writes as hooks
-    that return plain arrays and keep the position axis; ``Seq2Seq`` alone
-    builds and steps ``DecodeState``s:
+    """The protocol around a subclass's network, which it writes as hooks,
+    pure functions of Tensors and boolean live masks that keep the position
+    axis; ``Seq2Seq`` alone builds and stores ``DecodeState``s and gathers rows:
 
-    - ``_start(src, live) -> (rows, shared)``: the decoder start of padded
-      source ids [B, S] with boolean live mask [B, S], one row per source
-    - ``_step(state, prev_ids) -> (logits [N, 1, V], rows)``: feed
-      prev_ids [N] to every row
-    - ``_forced(src, live, tgt_in, train, rng) -> logits [B, T, V]``:
-      the teacher-forced pass over decoder inputs tgt_in [B, T]
+    - ``_encode(src, live, train, rng) -> (rows, shared)``: padded source ids
+      [B, S] with live mask [B, S] -> per-row decoder start, per-source Tensors
+    - ``_step(rows, shared, live, prev_ids) -> (logits [N, 1, V], rows)``: feed
+      prev_ids [N] to every row; ``shared`` and ``live`` are the row's source's
+    - ``_forced(rows, shared, live, tgt_in, train, rng) -> logits [B, T, V]``:
+      the teacher-forced pass from ``_encode`` over decoder inputs tgt_in [B, T]
     """
 
     def encode(self, sources) -> DecodeState:
         src, live = _padded_sources(sources)
         with no_grad():
-            return DecodeState(np.arange(len(src)), *self._start(src, live))
+            rows, shared = self._encode(src, live, False, None)
+        return DecodeState(np.arange(len(src)), tuple(r.data for r in rows),
+                           (*(t.data for t in shared), live))
 
     def decode_step_batch(self, state: DecodeState, prev_ids):
+        *shared, live = (a[state.src] for a in state.shared)
         with no_grad():
-            logits, rows = self._step(state, np.asarray(prev_ids, dtype=np.intp))
+            logits, rows = self._step(tuple(Tensor(r) for r in state.rows),
+                                      tuple(Tensor(a) for a in shared), live,
+                                      np.asarray(prev_ids, dtype=np.intp))
         logits = logits.data[:, 0]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # the softmax
-        return e / e.sum(axis=-1, keepdims=True), replace(state, rows=rows)
+        return e / e.sum(axis=-1, keepdims=True), replace(state, rows=tuple(r.data for r in rows))
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
         src, src_live = _padded_sources([s for s, _ in pairs])
         tgt, live = _padded([t for _, t in pairs])
         tgt_in = np.concatenate([np.full((len(tgt), 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
-        return target_logprobs(self._forced(src, src_live, tgt_in, train, rng), tgt, live)
+        rows, shared = self._encode(src, src_live, train, rng)
+        return target_logprobs(self._forced(rows, shared, src_live, tgt_in, train, rng), tgt, live)
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
         """Summed negative log-likelihood of (src_ids, tgt_ids) pairs, every

@@ -9,14 +9,15 @@ right-padded and stay [B, T, D] from end to end; attention over the
 source reads only its live positions, and the causal mask alone keeps
 padded target positions away from real ones.
 
-Decoding is incremental, as in fairseq (Ott et al. 2019): ``_start``
-runs many sources as one padded pass and projects the memory to every
-decoder layer's cross-attention keys and values once per source, and the
-decoder state caches each row's self-attention keys and values, so a step
-runs the decoder over the newest position only.  ``_step`` advances every
-row of every source, a greedy, sampled or beam hypothesis, as one row of a
-single [N, 1, D] pass.  ``Seq2Seq`` pads, masks, builds the states and
-reads the probabilities around these hooks.
+Both paths start from ``_encode``, which runs many sources as one padded
+pass and projects the memory to every decoder layer's cross-attention
+keys and values once per source.  Decoding is incremental, as in fairseq
+(Ott et al. 2019): the decoder state caches each row's self-attention
+keys and values, so a step runs the decoder over the newest position
+only.  ``_step`` advances every row of every source, a greedy, sampled or
+beam hypothesis, as one row of a single [N, 1, D] pass.  ``Seq2Seq`` pads,
+masks, builds and stores the states, gathers each row's source Tensors
+and reads the probabilities around these hooks.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .model import Seq2Seq
 def positional_encoding(length: int, dim: int) -> np.ndarray:
     """Sinusoidal position table [length, dim]."""
     pos = np.arange(length)[:, None]
-    i = np.arange(dim // 2)[None, :]
+    i = np.arange((dim + 1) // 2)[None, :]  # an odd dim has one more sine than cosines
     angle = pos / np.power(10000.0, 2.0 * i / dim)
     table = np.zeros((length, dim))
     table[:, 0::2] = np.sin(angle)
-    table[:, 1::2] = np.cos(angle)
+    table[:, 1::2] = np.cos(angle[:, :dim // 2])
     return table
 
 
@@ -122,40 +123,36 @@ class TransformerSeq2Seq(Seq2Seq):
         return dropout(add(x, Tensor(pe)), cfg.dropout, train, rng)
 
     def _encode(self, src: np.ndarray, live: np.ndarray, train: bool, rng):
-        """Encoder memory [B, S, D] for padded source ids [B, S], and their
-        live mask [B, S] as a key mask [B, 1, 1, S]."""
+        """For padded source ids [B, S] with live mask [B, S]: rows, every decoder
+        layer's empty self-attention keys and values [B, 0, D], and shared, its
+        cross-attention keys and values over the encoder memory [B, S, D]."""
         cfg = self.config
-        live = live[:, None, None, :]  # broadcast over heads and queries
+        mask = live[:, None, None, :]  # broadcast over heads and queries
         x = self._embed("emb.src", src, train, rng)
         for l in range(cfg.enc_blocks):
             normed = self._ln(f"enc.{l}.ln1", x)
             q, k, v = (self._linear(f"enc.{l}.self.{part}", normed) for part in "qkv")
-            a = self._attend(f"enc.{l}.self", q, k, v, live)
+            a = self._attend(f"enc.{l}.self", q, k, v, mask)
             x = add(x, dropout(a, cfg.dropout, train, rng))
             f = self._ffn(f"enc.{l}.ffn", self._ln(f"enc.{l}.ln2", x))
             x = add(x, dropout(f, cfg.dropout, train, rng))
-        return self._ln("enc.final_ln", x), live
+        memory = self._ln("enc.final_ln", x)
+        shared = tuple(self._linear(f"dec.{l}.cross.{part}", memory)
+                       for l in range(cfg.dec_blocks) for part in "kv")
+        return (Tensor(np.zeros((len(src), 0, cfg.d_model))),) * len(shared), shared
 
-    def _cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Every decoder layer's cross-attention (keys, values) over the memory."""
-        return [(self._linear(f"dec.{l}.cross.k", memory),
-                 self._linear(f"dec.{l}.cross.v", memory))
-                for l in range(self.config.dec_blocks)]
+    def _dec_block(self, l: int, x: Tensor, past, cross, self_live, cross_live, train, rng):
+        """Decoder block l over x [B, T, D] with cross-attention (keys, values).
 
-    def _dec_block(self, l: int, x: Tensor, cross: tuple[Tensor, Tensor],
-                   self_live, cross_live, past, train: bool, rng):
-        """Decoder block l over x [B, T, D].
-
-        ``past`` is None or cached (keys, values) arrays that precede this
-        call's positions.  Returns the new x and the full self-attention
-        (keys, values) including the cached ones.
+        ``past`` is None or the cached self-attention (keys, values) that
+        precede this call's positions.  Returns the new x and the full
+        self-attention (keys, values) including the cached ones.
         """
         cfg = self.config
         normed = self._ln(f"dec.{l}.ln1", x)
         q, k, v = (self._linear(f"dec.{l}.self.{part}", normed) for part in "qkv")
         if past is not None:
-            k = concat([Tensor(past[0]), k], axis=1)
-            v = concat([Tensor(past[1]), v], axis=1)
+            k, v = concat([past[0], k], axis=1), concat([past[1], v], axis=1)
         a = self._attend(f"dec.{l}.self", q, k, v, self_live)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         q = self._linear(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x))
@@ -168,38 +165,21 @@ class TransformerSeq2Seq(Seq2Seq):
     def _logits(self, x: Tensor) -> Tensor:
         return self._linear("out", self._ln("dec.final_ln", x))
 
-    def _forced(self, src, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
-        memory, live = self._encode(src, live, train, rng)
+    def _forced(self, rows, shared, live, tgt_in: np.ndarray, train: bool, rng) -> Tensor:
         x = self._embed("emb.tgt", tgt_in, train, rng)
         causal = np.tri(tgt_in.shape[1], dtype=bool)  # no query sees a later position
-        for l, cross in enumerate(self._cross_kv(memory)):
-            x, _ = self._dec_block(l, x, cross, causal, live, None, train, rng)
+        for l in range(self.config.dec_blocks):
+            x, _ = self._dec_block(l, x, None, shared[2 * l:2 * l + 2], causal,
+                                   live[:, None, None, :], train, rng)
         return self._logits(x)
 
-    # -- decoding ------------------------------------------------------------
-
-    def _start(self, src: np.ndarray, live: np.ndarray):
-        """The decoder start of every source, as (rows, shared) arrays.
-
-        Shared per source: every decoder layer's cross-attention keys and
-        values, each [sources, S, D], then the key mask [sources, 1, 1, S].
-        Per row: every layer's cached self-attention keys and values, each
-        [N, steps, D].
-        """
-        memory, live = self._encode(src, live, False, None)
-        cross = [t.data for kv in self._cross_kv(memory) for t in kv]
-        empty = np.zeros((len(src), 0, self.config.d_model))
-        return (empty,) * len(cross), (*cross, live)
-
-    def _step(self, state, prev_ids: np.ndarray):
-        *cross, live = state.shared
-        live = live[state.src]
+    def _step(self, rows, shared, live, prev_ids: np.ndarray):
         # the cached keys' length is the position of the fed ids
-        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=state.rows[0].shape[1])
+        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=rows[0].shape[1])
         cache = []
         for l in range(self.config.dec_blocks):
-            kv = tuple(Tensor(a[state.src]) for a in cross[2 * l:2 * l + 2])
-            past = state.rows[2 * l:2 * l + 2]
-            x, (k, v) = self._dec_block(l, x, kv, None, live, past, False, None)
-            cache += [k.data, v.data]
+            layer = slice(2 * l, 2 * l + 2)
+            x, kv = self._dec_block(l, x, rows[layer], shared[layer], None,
+                                    live[:, None, None, :], False, None)
+            cache += kv
         return self._logits(x), tuple(cache)

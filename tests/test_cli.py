@@ -13,7 +13,8 @@ import datagen
 import wugbench
 from wugbench import corpus as cp
 from wugbench.cli import _parse_seeds, build_parser, main
-from wugbench.runner import ACCURACY_HEADER, read_csv_rows, write_csv
+from wugbench.ndiff import Tensor, load_checkpoint, save_checkpoint
+from wugbench.runner import ACCURACY_HEADER, CORRELATIONS_HEADER, read_csv_rows, write_csv
 
 TINY_DIMS = {"emb_dim": 8, "hidden_dim": 6, "attn_dim": 6, "enc_layers": 1,
              "dropout": 0.0}
@@ -239,6 +240,26 @@ def test_eval_refuses_checkpoint_of_other_model_config(workspace, tmp_path, caps
     assert not (tmp_path / "run" / "accuracy.csv").exists()
 
 
+def test_eval_refuses_checkpoint_whose_model_config_is_not_an_object(workspace, tmp_path,
+                                                                     capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir=str(tmp_path / "run"), epochs=1)
+    trained = tmp_path / "config.json"
+    trained.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(trained)]) == 0
+    ckpt = tmp_path / "run" / "checkpoints" / "unilstm_attn-seed1.npz"
+    arrays, meta = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, {name: Tensor(a) for name, a in arrays.items()},
+                    {**meta, "model_config": ["x"]})
+    capsys.readouterr()
+    assert main(["eval", "--config", str(trained)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: checkpoint does not match")
+    assert "'model_config'" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
 @pytest.mark.parametrize("change", ["dataset", "split_seed"])
 def test_eval_refuses_checkpoint_of_other_data(tmp_path, capsys, change):
     # the alphabet, the model config and the paths stay the same: only
@@ -323,6 +344,42 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
     summary = json.loads((fresh / "summary.json").read_text(encoding="utf-8"))
     assert summary["merged_dirs"] == [str(fresh), str(root / "run")]
     assert summary["models"] == {} and "en/unilstm_attn" in summary["test_accuracy"]
+
+
+@pytest.mark.parametrize("name, text, problem", [
+    ("accuracy.csv", "lang,model,seed,class\nen,unilstm_attn,1,all\n",
+     "the header lacks the columns ['accuracy']"),
+    ("accuracy.csv", "lang,model,seed,class,accuracy\nen,unilstm_attn,1,all,50.0\n"
+     "en,unilstm_attn,1,regular\n", "line 3 has fewer fields than the header"),
+    ("units.csv", "lang,model,seed,param_count,best_epoch,best_dev_accuracy\n",
+     "the header lacks the columns ['diagnostic']"),
+    ("f1.csv", "lang,model,seed,class,f1\nen,unilstm_attn\n",
+     "line 2 has fewer fields than the header"),
+    ("correlations.csv", "", f"the header lacks the columns {list(CORRELATIONS_HEADER)}"),
+], ids=["accuracy-column", "accuracy-row", "units-column", "f1-row", "correlations-empty"])
+def test_report_refuses_malformed_input_csv(workspace, tmp_path, capsys, name, text, problem):
+    root, config_path = workspace
+    path = tmp_path / "other" / name
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--config", str(config_path), "--merge", str(path.parent)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
+
+def test_eval_refuses_malformed_units_csv(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir=str(tmp_path / "run"), epochs=1)
+    trained = tmp_path / "config.json"
+    trained.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(trained)]) == 0
+    units = tmp_path / "run" / "units.csv"
+    units.write_text("lang,model,seed\nen,unilstm_attn,1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(trained)]) == 1
+    assert capsys.readouterr().err == (f"error: {units}: the header lacks the columns "
+                                       "['param_count', 'best_epoch', 'best_dev_accuracy', "
+                                       "'diagnostic']\n")
 
 
 def test_cli_import_leaves_scipy_unloaded():

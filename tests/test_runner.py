@@ -971,3 +971,32 @@ def test_regular_rule_is_learnable(tmp_path):
     first_loss = outcome.curve_rows[0]["train_loss"]
     last_loss = outcome.curve_rows[-1]["train_loss"]
     assert last_loss < first_loss / 4
+
+
+# floors on the mean regular accuracy of seeds 1 and 2, each 10 points
+# below the lowest mean of any two of seeds 1-5 trained this way, since a
+# change to training shifts the trajectories as another seed would
+ENGLISH_FLOORS = {"bilstm_attn": 50.0, "bilstm_noattn": 9.0, "unilstm_attn": 57.0,
+                  "unilstm_noattn": 6.0, "transformer": 63.0}
+
+
+@pytest.mark.slow
+def test_english_training_quality_gate(tmp_path):
+    # the paper's comparison on synthetic data at small dimensions: every
+    # architecture learns the regular rule, and attention helps both LSTMs
+    # by at least criterion 5's 8 points.  Regular test words are 34, so one
+    # word moves a seed's accuracy by 2.9 points
+    cp.write_dataset(tmp_path / "en.tsv", "en", datagen.make_english(400, np.random.default_rng(3)))
+    small = {"emb_dim": 32, "hidden_dim": 64, "attn_dim": 32, "enc_layers": 1, "dropout": 0.0}
+    config = ExperimentConfig(
+        out_dir=str(tmp_path / "out"), dataset=str(tmp_path / "en.tsv"), seeds=(1, 2),
+        epochs=35, batch_size=16, lr=3e-3, beam_width=4,
+        model_overrides={"default": small, "transformer": {
+            "d_model": 64, "ffn_dim": 128, "heads": 2, "enc_blocks": 2, "dec_blocks": 2,
+            "dropout": 0.0}})
+    summary = run_experiment(config)
+    regular = {arch: summary["models"][arch]["test_accuracy"]["regular"]["mean"]
+               for arch in ARCHITECTURES}
+    assert all(regular[arch] >= floor for arch, floor in ENGLISH_FLOORS.items()), regular
+    assert regular["bilstm_attn"] - regular["bilstm_noattn"] >= 8.0, regular
+    assert regular["unilstm_attn"] - regular["unilstm_noattn"] >= 8.0, regular

@@ -8,7 +8,8 @@ import pytest
 import datagen
 from oracles import directional_grad_error, interior_nodes, op_counts
 from wugbench.corpus import build_alphabet
-from wugbench.ndiff import INIT_STREAM, backward, save_checkpoint, seeded_rng
+from wugbench.decode import greedy_decode
+from wugbench.ndiff import INIT_STREAM, Adam, backward, save_checkpoint, seeded_rng
 from wugbench.seq2seq import (
     ARCHITECTURES,
     LSTM_ARCHITECTURES,
@@ -349,3 +350,23 @@ def test_positional_encoding_shape_and_values():
     np.testing.assert_allclose(pe[0, 0::2], 0.0, atol=1e-12)   # sin(0)
     np.testing.assert_allclose(pe[0, 1::2], 1.0, atol=1e-12)   # cos(0)
     assert abs(pe[3, 0] - math.sin(3.0)) < 1e-12
+
+
+def test_positional_encoding_of_odd_width_follows_the_formula():
+    pe = positional_encoding(7, 9)
+    want = [[(math.sin if j % 2 == 0 else math.cos)(p / 10000.0 ** (2 * (j // 2) / 9))
+             for j in range(9)] for p in range(7)]
+    np.testing.assert_allclose(pe, want, rtol=0, atol=1e-12)
+
+
+def test_transformer_of_odd_width_trains_and_decodes():
+    cfg = ModelConfig(arch="transformer", vocab_size=8, d_model=9, ffn_dim=12, heads=3,
+                      enc_blocks=1, dec_blocks=1)
+    model = build_model(cfg, seeded_rng(0, INIT_STREAM))
+    loss = model.batch_loss([([3, 4, 5], [6, 2]), ([7], [5, 4, 2])], np.random.default_rng(0))
+    backward(loss)
+    Adam(model.params).step()
+    assert math.isfinite(loss.item())
+    assert all(np.isfinite(p.data).all() for p in model.params.values())
+    hyps = greedy_decode(model, [[3, 4, 5], [7]], max_len=5)
+    assert len(hyps) == 2 and all(len(h.symbols) <= 5 for h in hyps)
