@@ -17,8 +17,9 @@ done.  A search retires as soon as its result is decided (Huang et al.
 above its best live one.  Raw log-probability never rises as a prefix
 extends: a step's probabilities are at most 1, so it adds log p <= 0,
 also in floating point.  The stop is therefore exact.  Forced scoring
-runs each chunk of (source, target) pairs through one padded
-``teacher_forced_logprobs`` pass, the pass training runs.  Symbol
+runs the (source, target) pairs of each chunk of sources through one
+padded ``teacher_forced_logprobs`` pass, the pass training runs, which
+encodes a source that several pairs share once.  Symbol
 sequences in hypotheses never include the start id; the end id is
 consumed (its probability counts toward the score) but not stored.
 """
@@ -35,7 +36,7 @@ from .corpus import BOS, EOS
 from .ndiff import no_grad
 from .ndiff.tensor import ContractError
 
-# Sources (or forced pairs) per batched pass.  Fixed in code, so results do
+# Sources per batched pass, decoded or forced.  Fixed in code, so results do
 # not depend on the machine or the worker count; a chunk of beam-12 rows
 # keeps the transformer's self-attention cache to tens of megabytes.
 CHUNK = 16
@@ -215,14 +216,33 @@ def _search_chunk(model, sources, max_lens, width: int, draws: int, choose) -> l
     return beams
 
 
+def _source_chunks(pairs: list) -> list[list]:
+    """Pairs in order, a chunk ending before the pair that would bring its
+    ``CHUNK + 1``-th distinct source."""
+    chunks: list[list] = []
+    sources: set = set()
+    for pair in pairs:
+        src = tuple(pair[0])
+        if src not in sources:
+            if not chunks or len(sources) == CHUNK:
+                chunks.append([])
+                sources = set()
+            sources.add(src)
+        chunks[-1].append(pair)
+    return chunks
+
+
 def force_score(model, pairs) -> list[ForcedScore]:
     """Score given (source, target) pairs by the model's teacher-forced
-    pass, one padded pass per chunk; every target must end with the end id."""
+    pass, in input order; every target must end with the end id.  A chunk
+    holds the pairs of ``CHUNK`` sources, which run as one padded pass that
+    encodes each distinct source once: five candidates of one wug lemma
+    share its encoder pass."""
     pairs = [(list(src), list(tgt)) for src, tgt in pairs]
     if any(not tgt or tgt[-1] != EOS for _, tgt in pairs):
         raise ContractError("force_score: target must be non-empty and end with the end id")
     out: list[ForcedScore] = []
-    for chunk in _chunks(pairs):
+    for chunk in _source_chunks(pairs):
         with no_grad():
             logprobs = model.teacher_forced_logprobs(chunk)
         for (_, tgt), row in zip(chunk, logprobs.data):

@@ -309,10 +309,14 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of ``table`` selected by integer ids of any shape -> [*ids.shape, dim]."""
+    """Rows of ``table`` selected by integer ids of any shape ->
+    [*ids.shape, *table.shape[1:]].  The table is any array with a leading
+    row axis: an embedding matrix, or per-source encoder outputs gathered
+    to the rows that read them.  A row picked more than once sums its
+    gradients."""
     idx = np.asarray(ids, dtype=np.intp)
-    if table.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
+    if table.ndim < 1:
+        raise ShapeError(f"embedding_lookup: table needs a row axis, got {table.shape}")
     data = table.data[idx]
 
     def vjp(g, shape=table.shape, idx=idx):

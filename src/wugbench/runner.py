@@ -528,7 +528,7 @@ def _load_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: in
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     if differ:
         raise RunnerError(f"{path}: checkpoint does not match the config and data in {differ}")
-    model = build_model(mcfg, seeded_rng(seed, INIT_STREAM))
+    model = build_model(mcfg)
     restore_into(model.params, arrays)
     return model
 
@@ -624,9 +624,20 @@ def read_csv_rows(path) -> list[dict]:
     return _read_back(path, ())
 
 
+# read-back columns the runner converts, with what each cell must be; a
+# diverged unit's best_epoch is empty, and _finite reads an empty cell as NaN
+NUMERIC_COLUMNS = {
+    "seed": (int, "an integer"), "param_count": (int, "an integer"),
+    "best_epoch": (int, "an integer"), "n": (int, "an integer"),
+    **{col: (_finite, "a number") for col in ("accuracy", "f1", *CORRELATIONS_HEADER[4:])},
+}
+
+
 def _read_back(path, header: Sequence[str]) -> list[dict]:
     """A CSV's rows as dicts.  Refuses a file whose header lacks a column of
-    ``header``, and a row with fewer fields than the file's header."""
+    ``header``, a row with fewer fields than the file's header, and a cell
+    of a ``header`` column in ``NUMERIC_COLUMNS`` that does not parse."""
+    numeric = {col: NUMERIC_COLUMNS[col] for col in header if col in NUMERIC_COLUMNS}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [col for col in header if col not in (reader.fieldnames or ())]
@@ -637,6 +648,14 @@ def _read_back(path, header: Sequence[str]) -> list[dict]:
             if None in row.values():
                 raise RunnerError(f"{path}: line {reader.line_num} has fewer fields "
                                   "than the header")
+            for col, (parse, kind) in numeric.items():
+                if col == "best_epoch" and row.get("diagnostic"):
+                    continue
+                try:
+                    parse(row[col])
+                except ValueError:
+                    raise RunnerError(f"{path}: line {reader.line_num}, column {col!r}: "
+                                      f"{row[col]!r} is not {kind}") from None
             rows.append(row)
     return rows
 

@@ -54,7 +54,7 @@ from .model import Seq2Seq
 class LSTMSeq2Seq(Seq2Seq):
     """One of the four LSTM architectures, chosen by config.arch."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         if config.arch == "transformer":
             raise ValueError("transformer config passed to the LSTM family")
         self.config = config
@@ -69,7 +69,7 @@ class LSTMSeq2Seq(Seq2Seq):
             self.params[name] = parameter(data)
 
         def uniform(name: str, *shape: int) -> None:
-            add(name, rng.uniform(-0.08, 0.08, size=shape))
+            add(name, np.empty(shape) if rng is None else rng.uniform(-0.08, 0.08, size=shape))
 
         lstm_bias = np.repeat([0.0, 1.0, 0.0, 0.0], H)  # the forget gate starts open
 

@@ -12,10 +12,10 @@ Every model subclasses ``Seq2Seq`` and has the same methods, none optional:
   hypothesis of many sources at once
 - ``teacher_forced_logprobs(pairs, rng=None, train=False) -> Tensor
   [B, T]``: log P(tgt_t | tgt_<t, src) for (src_ids, tgt_ids) pairs
-  right-padded to T target positions, 0 at the padded ones; forced
-  scoring runs it, and ``batch_loss(pairs, rng=None, train=True)`` is its
-  negated sum, the loss training takes once per batch, and ``loss`` its
-  one-pair case
+  right-padded to T target positions, 0 at the padded ones, encoding each
+  distinct source once; forced scoring runs it, and ``batch_loss(pairs,
+  rng=None, train=True)`` is its negated sum, the loss training takes once
+  per batch, and ``loss`` its one-pair case
 
 ``Seq2Seq`` implements them all once, around three hooks in which an
 architecture writes only its network.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..corpus import BOS, PAD
-from ..ndiff import Tensor, mul, no_grad, sum_, target_logprobs
+from ..ndiff import Tensor, embedding_lookup, mul, no_grad, sum_, target_logprobs
 from ..ndiff.tensor import ContractError
 from .config import ModelConfig
 
@@ -92,7 +92,8 @@ class Seq2Seq:
     - ``_step(rows, shared, live, prev_ids) -> (logits [N, 1, V], rows)``: feed
       prev_ids [N] to every row; ``shared`` and ``live`` are the row's source's
     - ``_forced(rows, shared, live, tgt_in, train, rng) -> logits [B, T, V]``:
-      the teacher-forced pass from ``_encode`` over decoder inputs tgt_in [B, T]
+      the teacher-forced pass from ``_encode`` over decoder inputs tgt_in [B, T];
+      ``rows``, ``shared`` and ``live`` are each pair's own source's
     """
 
     def encode(self, sources) -> DecodeState:
@@ -113,10 +114,20 @@ class Seq2Seq:
         return e / e.sum(axis=-1, keepdims=True), replace(state, rows=tuple(r.data for r in rows))
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
-        src, src_live = _padded_sources([s for s, _ in pairs])
+        """Each distinct source is encoded once, in first-seen order; when a
+        source repeats, its encoder outputs and live mask are gathered to its
+        pairs' rows, whose gradients the gather sums back.  A batch of
+        distinct sources runs the encoder outputs as they are."""
+        first: dict[tuple, int] = {}  # source -> its row in the encoder pass
+        index = np.array([first.setdefault(tuple(s), len(first)) for s, _ in pairs],
+                         dtype=np.intp)
+        src, src_live = _padded_sources(list(first))
         tgt, live = _padded([t for _, t in pairs])
         tgt_in = np.concatenate([np.full((len(tgt), 1), BOS, dtype=np.intp), tgt[:, :-1]], axis=1)
         rows, shared = self._encode(src, src_live, train, rng)
+        if len(first) < len(pairs):
+            rows, shared = (tuple(embedding_lookup(t, index) for t in ts) for ts in (rows, shared))
+            src_live = src_live[index]
         return target_logprobs(self._forced(rows, shared, src_live, tgt_in, train, rng), tgt, live)
 
     def batch_loss(self, pairs, rng=None, train: bool = True) -> Tensor:
@@ -129,11 +140,13 @@ class Seq2Seq:
         return self.batch_loss([(src_ids, tgt_ids)], rng, train)
 
 
-def build_model(config: ModelConfig, rng: np.random.Generator) -> Seq2Seq:
+def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> Seq2Seq:
     """Instantiate the architecture named by config.arch.
 
     Parameters are drawn from ``rng`` in a fixed order, so equal (config,
-    rng state) pairs produce bit-identical models.
+    rng state) pairs produce bit-identical models.  Without ``rng`` the
+    drawn parameters are allocated but not drawn, for ``restore_into`` to
+    fill from a checkpoint.
     """
     # local imports: both submodules use the helpers above
     if config.arch == "transformer":

@@ -55,7 +55,7 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 
 
 class TransformerSeq2Seq(Seq2Seq):
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         if config.arch != "transformer":
             raise ValueError(f"config.arch is {config.arch!r}, not 'transformer'")
         self.config = config
@@ -65,8 +65,13 @@ class TransformerSeq2Seq(Seq2Seq):
         def p(name: str, data) -> None:
             self.params[name] = parameter(data)
 
+        def normal(*shape: int) -> np.ndarray:  # scaled by the input width
+            if rng is None:
+                return np.empty(shape)
+            return rng.normal(0.0, shape[-1] ** -0.5, size=shape)
+
         def linear(name: str, out_dim: int, in_dim: int) -> None:
-            p(f"{name}.w", rng.normal(0.0, in_dim ** -0.5, size=(out_dim, in_dim)))
+            p(f"{name}.w", normal(out_dim, in_dim))
             p(f"{name}.b", np.zeros(out_dim))
 
         def mha(name: str) -> None:
@@ -81,8 +86,8 @@ class TransformerSeq2Seq(Seq2Seq):
             linear(f"{name}.1", config.ffn_dim, D)
             linear(f"{name}.2", D, config.ffn_dim)
 
-        p("emb.src", rng.normal(0.0, D ** -0.5, size=(V, D)))
-        p("emb.tgt", rng.normal(0.0, D ** -0.5, size=(V, D)))
+        p("emb.src", normal(V, D))
+        p("emb.tgt", normal(V, D))
         for l in range(config.enc_blocks):
             ln(f"enc.{l}.ln1")
             mha(f"enc.{l}.self")

@@ -190,6 +190,10 @@ def _op_suite(rng):
     tlsel3 = rng.normal(size=(2, 3))
     targets3 = [[4, 0, 2], [1, 1, 3]]
     tlive = np.array([[1, 1, 1], [1, 1, 0]])
+    # drawn after those: a lookup from a 3-D table, per-source rows gathered
+    # to their pairs with a repeat, whose gradients sum
+    rows3 = rng.normal(size=(3, 2, 4))
+    rows_sel = rng.normal(size=(4, 2, 4))
 
     def head(t, targets, live, sel):
         return nd.sum_(nd.mul(nd.target_logprobs(t, targets, live), T(sel)))
@@ -211,6 +215,8 @@ def _op_suite(rng):
                                                         T(sel3))), w34),
         ("embedding_lookup-grid", lambda t: nd.sum_(nd.mul(
             nd.embedding_lookup(t, [[1, 0], [2, 1]]), T(table_sel3))), table),
+        ("embedding_lookup-rows", lambda t: nd.sum_(nd.mul(
+            nd.embedding_lookup(t, [2, 0, 2, 1]), T(rows_sel))), rows3),
         ("additive_attention-queries", lambda t: additive(dsel2, q=t), dq2),
         ("additive_attention-queries-keys", lambda t: additive(dsel2, q=T(dq2), keys=t), dkeys),
         ("additive_attention-queries-memory",

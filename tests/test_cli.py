@@ -44,6 +44,20 @@ def workspace(tmp_path_factory):
     return root, config_path
 
 
+@pytest.fixture
+def trained_run(workspace, tmp_path):
+    """The workspace's config trained for one epoch and evaluated, in a
+    directory of this test's own: (config path, run directory)."""
+    _, config_path = workspace
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir=str(tmp_path / "run"), epochs=1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 0
+    assert main(["eval", "--config", str(path)]) == 0
+    return path, tmp_path / "run"
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -317,19 +331,19 @@ def test_eval_refuses_untrained_unit(workspace, tmp_path, capsys):
     assert not (tmp_path / "run" / "accuracy.csv").exists()
 
 
-def test_report_merge_flag(workspace, tmp_path, capsys):
-    root, config_path = workspace
+def test_report_merge_flag(trained_run, tmp_path, capsys):
+    config_path, run = trained_run
     # a directory holding another seed of the run's model merges; the run
     # dir merged with itself would count its seed twice and is refused
     other = tmp_path / "other"
     write_csv(other / "accuracy.csv", ACCURACY_HEADER,
-              [{**row, "seed": 2} for row in read_csv_rows(root / "run" / "accuracy.csv")])
+              [{**row, "seed": 2} for row in read_csv_rows(run / "accuracy.csv")])
     assert main(["report", "--config", str(config_path), "--merge", str(other)]) == 0
-    summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
+    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
     assert len(summary["merged_dirs"]) == 2
     capsys.readouterr()
     assert main(["report", "--config", str(config_path),
-                 "--merge", str(root / "run")]) == 1
+                 "--merge", str(run)]) == 1
     assert capsys.readouterr().err == ("error: units in more than one merged directory: "
                                        "['en/unilstm_attn/seed1']\n")
     # a merge directory with no rows is named, not listed and skipped
@@ -340,9 +354,9 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
     # a missing --out directory is made, as the CSV writers make theirs
     fresh = tmp_path / "fresh" / "report"
     assert main(["report", "--config", str(config_path), "--out", str(fresh),
-                 "--merge", str(root / "run")]) == 0
+                 "--merge", str(run)]) == 0
     summary = json.loads((fresh / "summary.json").read_text(encoding="utf-8"))
-    assert summary["merged_dirs"] == [str(fresh), str(root / "run")]
+    assert summary["merged_dirs"] == [str(fresh), str(run)]
     assert summary["models"] == {} and "en/unilstm_attn" in summary["test_accuracy"]
 
 
@@ -356,7 +370,12 @@ def test_report_merge_flag(workspace, tmp_path, capsys):
     ("f1.csv", "lang,model,seed,class,f1\nen,unilstm_attn\n",
      "line 2 has fewer fields than the header"),
     ("correlations.csv", "", f"the header lacks the columns {list(CORRELATIONS_HEADER)}"),
-], ids=["accuracy-column", "accuracy-row", "units-column", "f1-row", "correlations-empty"])
+    ("units.csv", "lang,model,seed,param_count,best_epoch,best_dev_accuracy,diagnostic\n"
+     "en,unilstm_attn,,120,1,50.0,\n", "line 2, column 'seed': '' is not an integer"),
+    ("accuracy.csv", "lang,model,seed,class,accuracy\nen,unilstm_attn,1,all,high\n",
+     "line 2, column 'accuracy': 'high' is not a number"),
+], ids=["accuracy-column", "accuracy-row", "units-column", "f1-row", "correlations-empty",
+        "units-seed-empty", "accuracy-cell"])
 def test_report_refuses_malformed_input_csv(workspace, tmp_path, capsys, name, text, problem):
     root, config_path = workspace
     path = tmp_path / "other" / name
@@ -382,14 +401,18 @@ def test_eval_refuses_malformed_units_csv(workspace, tmp_path, capsys):
                                        "'diagnostic']\n")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only where a correlation's p-value is computed, so the
-    # commands that compute none do not pay for importing it
+def test_cli_import_leaves_scipy_unloaded(trained_run):
+    # p-values need nothing beyond numpy: neither importing the CLI nor a
+    # wug stage, which computes them, loads scipy
+    config_path, run = trained_run
     src_dir = str(Path(wugbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, wugbench.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    code = ("import sys; from wugbench.cli import main; "
+            "status = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for args in ([], ["wug", "--config", str(config_path)]):
+        out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "0 []", args
+    assert any(row["spearman_p"] for row in read_csv_rows(run / "correlations.csv"))

@@ -513,6 +513,37 @@ def test_ragged_batch_rows_equal_single_source_runs(copy_model):
         np.testing.assert_allclose(score.step_logprobs, alone.step_logprobs, rtol=0, atol=1e-9)
 
 
+def test_forced_pairs_of_a_source_share_its_encoder_pass(copy_model, monkeypatch):
+    # German-style items: five candidates of one source, between sources of
+    # one pair each, more sources than one chunk holds
+    rng = np.random.default_rng(8)
+    sources: list[list[int]] = []
+    while len(sources) < 2 * CHUNK + 3:
+        src = [int(v) for v in rng.integers(3, 8, size=rng.integers(1, 8))]
+        if src not in sources:
+            sources.append(src)
+    pairs = [(src, [int(v) for v in rng.integers(3, 8, size=rng.integers(0, 8))] + [EOS])
+             for i, src in enumerate(sources) for _ in range(5 if i % 2 == 0 else 1)]
+    encoded = []
+    cls = type(copy_model)
+    encode = cls._encode
+
+    def spy(self, src, live, train, rng):
+        encoded.append([tuple(row[keep]) for row, keep in zip(src, live)])
+        return encode(self, src, live, train, rng)
+
+    monkeypatch.setattr(cls, "_encode", spy)
+    scores = force_score(copy_model, pairs)
+    monkeypatch.undo()
+    # a chunk is CHUNK sources' pairs, and each source is encoded once
+    assert [len(rows) for rows in encoded] == [CHUNK, CHUNK, 3]
+    assert [list(row) for rows in encoded for row in rows] == sources
+    for pair, score in zip(pairs, scores):
+        (alone,) = force_score(copy_model, [pair])
+        assert abs(score.raw_logprob - alone.raw_logprob) < 1e-9
+        np.testing.assert_allclose(score.step_logprobs, alone.step_logprobs, rtol=0, atol=1e-9)
+
+
 def test_width_one_beam_is_greedy_inside_a_batch(copy_model):
     beams = beam_search(copy_model, RAGGED, width=1)
     assert all(len(beam.hyps) == 1 for beam in beams)

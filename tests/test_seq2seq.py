@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 import datagen
-from oracles import directional_grad_error, interior_nodes, op_counts
+from oracles import directional_grad_error, grad_check, interior_nodes, op_counts
 from wugbench.corpus import build_alphabet
 from wugbench.decode import greedy_decode
-from wugbench.ndiff import INIT_STREAM, Adam, backward, save_checkpoint, seeded_rng
+from wugbench.ndiff import (
+    INIT_STREAM,
+    Adam,
+    backward,
+    restore_into,
+    save_checkpoint,
+    seeded_rng,
+)
 from wugbench.seq2seq import (
     ARCHITECTURES,
     LSTM_ARCHITECTURES,
@@ -77,6 +84,20 @@ def test_init_is_seed_deterministic(arch):
     assert any(
         not np.array_equal(a.params[n].data, c.params[n].data) for n in a.params
     )
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_model_built_without_rng_takes_a_checkpoint(arch):
+    # a checkpoint load allocates the parameters without drawing them, then
+    # restores every one; names, order and shapes match a drawn model's
+    drawn = tiny_model(arch, seed=4)
+    cfg = ModelConfig(arch=arch, vocab_size=8, dropout=0.3, **TINY)
+    blank = build_model(cfg)
+    assert [(n, p.shape) for n, p in blank.params.items()] == [
+        (n, p.shape) for n, p in drawn.params.items()]
+    restore_into(blank.params, {n: p.data for n, p in drawn.params.items()})
+    pair = ([3, 4, 5], [6, 7, 2])
+    assert blank.loss(*pair, train=False).item() == drawn.loss(*pair, train=False).item()
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -196,6 +217,29 @@ def test_batch_loss_matches_per_example_sum(arch):
             assert batch_grads[name] is not None and p.grad is not None, name
             np.testing.assert_allclose(batch_grads[name], p.grad, rtol=0, atol=1e-9,
                                        err_msg=name)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batch_loss_over_a_repeated_source_matches_finite_differences(arch):
+    # three pairs of one source among others share its encoder pass, which
+    # a gather hands to each of them; the source embedding's gradient sums
+    # their parts.  Every parameter is redrawn at unit scale: at the
+    # init's scale the LSTMs' gradients lie near 1e-8 to 1e-5, where the
+    # differences' rounding alone is 1e-4 of them
+    model = tiny_model(arch, seed=17, dropout=0.0)
+    rng = np.random.default_rng(17)
+    for p in model.params.values():
+        p.data = rng.normal(size=p.shape)
+    pairs = [([3, 4, 5], [6, 2]), ([7, 6], [4, 5, 2]), ([3, 4, 5], [7, 3, 4, 2]),
+             ([3, 4, 5], [5, 2])]
+    table = model.params["emb.src"]
+
+    def loss(t):
+        model.params["emb.src"] = t
+        return model.batch_loss(pairs)
+
+    err = grad_check(loss, table.data)
+    assert err < 1e-4, f"gradient error {err:.3e}"
 
 
 @pytest.mark.parametrize("arch", LSTM_ARCHITECTURES)

@@ -1,6 +1,7 @@
 """Metric implementations against loop-oracles, scipy, and hand cases."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import pearson_oracle, ranks_oracle, spearman_oracle, t_pvalue_oracle
 from wugbench.wugeval import (
     EvaluationError,
+    _t_pvalue,
     accuracy_by_class,
     accuracy_correlation_grid,
     average_ranks,
@@ -179,6 +181,26 @@ def test_pvalue_formula():
         x, y = _random_pairs(rng, n)
         got = pearson(x, y)
         assert got.pvalue == pytest.approx(t_pvalue_oracle(got.statistic, n), abs=1e-12)
+
+
+# |r| from 1e-12 to 0.999: log-spaced, and round values
+R_GRID = sorted({*np.geomspace(1e-12, 0.999, 60).tolist(),
+                 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999})
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 30, 56, 281, 5000))
+def test_t_pvalue_keeps_relative_accuracy(n):
+    # against scipy's stdtr p-value.  With one degree of freedom (n = 3)
+    # stdtr rounds 1 + t^2 and is off by up to 5e-9 relative for |r| < 1e-4,
+    # so the Cauchy form 1 - 2 asin(|r|) / pi stands in for it there
+    for r in R_GRID:
+        want = 1.0 - 2.0 * math.asin(r) / math.pi if n == 3 else t_pvalue_oracle(r, n)
+        for stat in (r, -r):
+            got = _t_pvalue(stat, n)
+            if want < sys.float_info.min:  # stdtr underflows below the normal range
+                assert got < sys.float_info.min, (stat, got, want)
+            else:
+                assert abs(got - want) <= 1e-12 * want, (stat, got, want)
 
 
 def test_correlation_edge_cases():
