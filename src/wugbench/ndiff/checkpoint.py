@@ -79,12 +79,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return {m.removesuffix(".npy"): arr for m, arr in arrays.items()}, meta
 
 
-def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
-    """Copy loaded arrays into an existing parameter collection.
-
-    Names and shapes must match exactly; anything else means the checkpoint
-    belongs to a different model.
-    """
+def _matched(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]):
+    """(parameter, array) pairs by name.  Names and shapes must match
+    exactly; anything else means the checkpoint belongs to a different model."""
     missing = sorted(set(params) - set(arrays))
     extra = sorted(set(arrays) - set(params))
     if missing or extra:
@@ -95,4 +92,20 @@ def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray])
             raise CheckpointError(
                 f"parameter '{name}': checkpoint shape {arr.shape} != model shape {p.data.shape}"
             )
+    return [(p, arrays[name]) for name, p in params.items()]
+
+
+def restore_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy loaded arrays into an existing parameter collection; names and
+    shapes must match exactly."""
+    for p, arr in _matched(params, arrays):
         p.data = np.array(arr, dtype=np.float64, order="C")
+
+
+def move_into(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
+    """``restore_into`` for arrays the caller hands over, such as
+    ``load_checkpoint``'s: each parameter takes its array itself, copied
+    only if it is not a C-contiguous float64 array, so a load writes each
+    parameter once, as it reads it."""
+    for p, arr in _matched(params, arrays):
+        p.data = np.ascontiguousarray(arr, dtype=np.float64)

@@ -5,7 +5,7 @@ node; ``backward`` walks the graph in reverse topological order and
 accumulates gradients into the ``grad`` field of every leaf it reaches
 (a node without a VJP, such as a parameter); interior nodes keep
 ``grad`` at ``None``.  Inference code should wrap calls in ``no_grad()``
-to skip recording.
+to skip recording; the switch is per thread.
 
 Arrays are float64 but not always C-contiguous: ``narrow`` returns
 strided views, and every op reads its inputs through any strides.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,23 +33,30 @@ class ContractError(ValueError):
 LAYER_NORM_EPS = 1e-5
 _MASKED = -1e9  # a masked attention score: exp underflows to exactly 0 there
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record the graph, per thread: one thread's ``no_grad``
+    never turns recording off in another."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (inference mode), in the
+    calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -97,7 +105,7 @@ def parameter(data) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -253,7 +261,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     rows = x.data.reshape(-1, w.shape[1])
     data = rows @ w.data.T
     if b is not None:
-        data = data + b.data
+        data += b.data  # the product is a fresh array of our own
 
     parents = (x, w) if b is None else (x, w, b)
 
@@ -356,8 +364,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(data, (x, gain, bias), vjp)
 
 
+def _source_slots(src, rows: int, sources: int) -> tuple[np.ndarray, int]:
+    """For row sources ``src`` [rows]: each row's slot in a layout of
+    ``sources`` blocks of ``per`` slots, source s's rows in block s in row
+    order, with ``per`` the most rows of any one source -> (slots, per)."""
+    src = np.asarray(src)
+    if (src.shape != (rows,) or src.dtype.kind not in "iu"
+            or rows and not 0 <= src.min() <= src.max() < sources):
+        raise ValueError(f"src must hold {rows} integers in [0, {sources}), "
+                         f"got {src.dtype} {src.shape}")
+    count = np.bincount(src, minlength=sources)
+    rank = np.empty(rows, dtype=np.intp)  # each row's place among its source's rows
+    rank[np.argsort(src, kind="stable")] = np.arange(rows) - np.repeat(np.cumsum(count) - count,
+                                                                        count)
+    per = int(count.max(initial=0))
+    return src * per + rank, per
+
+
 def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, live: np.ndarray | None = None,
-                       heads: int = 1) -> Tensor:
+                       heads: int = 1, src=None) -> Tensor:
     """softmax(q k^T / sqrt(d_head)) v per head, for q [B, Tq, D] and
     k, v [B, Tk, D] -> [B, Tq, D]; the columns split into ``heads`` heads of
     d_head = D / heads, which merge back in order (Vaswani et al. 2017).
@@ -365,6 +390,13 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, live: np.ndarray | None 
     One node; the backward is that of Dao et al. (2022) without the tiling.
     The boolean mask ``live`` broadcasts against the scores [B, heads, Tq, Tk]
     and is not differentiated; a key it marks False gets no weight.
+
+    With the integer ``src`` [N], q is [N, Tq, D] and its row n attends over
+    source ``src[n]`` of k and v [B, Tk, D] -> [N, Tq, D], the rows in any
+    order, any number per source.  No row copies its source's keys and
+    values: each source's rows run as that source's queries, its block of
+    the most rows any source has, and ``live`` masks each source's keys,
+    broadcasting against [B, 1, 1, Tk].
     """
     def split(x):  # [B, T, D] -> a view [B, heads, T, d_head]
         return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 1, 3)
@@ -372,26 +404,44 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, live: np.ndarray | None 
     def merge(x):  # [B, heads, T, d_head] -> [B, T, D]
         return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
 
+    pad = unpad = lambda x: x  # without src, row b of q attends over row b of k and v
     try:
-        if q.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
-            raise ValueError("q, k and v differ in rank, batch size or width")
-        qh, kh, vh = split(q.data), split(k.data), split(v.data)
+        if q.ndim != 3 or k.shape != v.shape or k.shape[2:] != q.shape[2:]:
+            raise ValueError("q, k and v differ in rank or width")
+        if src is None:
+            if k.shape[0] != q.shape[0]:
+                raise ValueError("q, k and v differ in batch size")
+        else:
+            slots, per = _source_slots(src, q.shape[0], k.shape[0])
+            if np.broadcast_shapes(np.shape(live), (k.shape[0], 1, 1, k.shape[1])) != (
+                    k.shape[0], 1, 1, k.shape[1]):
+                raise ValueError("live is not a per-source key mask")
+
+            def pad(x):  # rows [N, Tq, D] -> each source's rows as its queries [B, per * Tq, D]
+                out = np.zeros((k.shape[0] * per, *x.shape[1:]))
+                out[slots] = x
+                return out.reshape(k.shape[0], per * q.shape[1], q.shape[2])
+
+            def unpad(x):
+                return x.reshape(k.shape[0] * per, *q.shape[1:])[slots]
+
+        qh, kh, vh = split(pad(q.data)), split(k.data), split(v.data)
         scale = 1.0 / math.sqrt(qh.shape[-1])
         scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
         if live is not None:
             scores = np.where(live, scores, _MASKED)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
-        data = merge(np.matmul(probs, vh))
+        data = unpad(merge(np.matmul(probs, vh)))
     except ValueError as exc:
         raise ShapeError(f"scaled_dot_product: incompatible shapes {q.shape}, {k.shape} "
-                         f"and {v.shape} for {heads} heads") from exc
+                         f"and {v.shape} for {heads} heads, live {np.shape(live)}: {exc}") from exc
 
     def vjp(g, qh=qh, kh=kh, vh=vh, probs=probs, scale=scale):
-        g = split(g)
+        g = split(pad(g))
         gp = np.matmul(g, vh.swapaxes(-1, -2))
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        return (merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh)),
+        return (unpad(merge(np.matmul(gs, kh))), merge(np.matmul(gs.swapaxes(-1, -2), qh)),
                 merge(np.matmul(probs.swapaxes(-1, -2), g)))
 
     return _node(data, (q, k, v), vjp)

@@ -49,11 +49,10 @@ from .ndiff import (
     backward,
     clip_global_norm,
     load_checkpoint,
-    restore_into,
     save_checkpoint,
     seeded_rng,
 )
-from .ndiff.checkpoint import atomic_write
+from .ndiff.checkpoint import atomic_write, move_into
 from .seq2seq import ARCHITECTURES, ModelConfig, build_model, count_parameters
 from .wugeval import (
     CorrelationResult,
@@ -383,7 +382,7 @@ def train_unit(config: ExperimentConfig, bundle: DataBundle, arch: str,
         outcome.diagnostic = str(exc)
         return outcome, None
 
-    restore_into(model.params, best_params)
+    move_into(model.params, best_params)
     return outcome, model
 
 
@@ -529,7 +528,7 @@ def _load_unit(config: ExperimentConfig, bundle: DataBundle, arch: str, seed: in
     if differ:
         raise RunnerError(f"{path}: checkpoint does not match the config and data in {differ}")
     model = build_model(mcfg)
-    restore_into(model.params, arrays)
+    move_into(model.params, arrays)
     return model
 
 

@@ -26,9 +26,10 @@ targets come last, and the loss head reads 0 there.
 Decoding works the same way: ``_encode``, the entry teacher forcing uses
 too, runs many sources as one padded pass, and ``_step`` steps every
 greedy, sampled or beam hypothesis of every source as one row, attending
-over the memory, keys and live mask of its own source, which ``Seq2Seq``
-gathers.  ``Seq2Seq`` pads, masks, builds and stores the states and reads
-the probabilities; the hooks see only Tensors and masks.
+over the memory, keys and live mask of its own source, which it gathers
+by the rows' source index.  ``Seq2Seq`` pads, masks, builds and stores
+the states and reads the probabilities; the hooks see only Tensors and
+masks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..ndiff import (
     embedding_lookup,
     lstm,
     narrow,
-    parameter,
     tanh,
 )
 from .config import ModelConfig
@@ -65,13 +65,14 @@ class LSTMSeq2Seq(Seq2Seq):
 
         V, E, H, A = config.vocab_size, config.emb_dim, config.hidden_dim, config.attn_dim
 
-        def add(name: str, data) -> None:
-            self.params[name] = parameter(data)
+        def add(name: str, data: np.ndarray) -> None:  # data: a fresh array of our own
+            self.params[name] = Tensor(data, requires_grad=True)
 
         def uniform(name: str, *shape: int) -> None:
             add(name, np.empty(shape) if rng is None else rng.uniform(-0.08, 0.08, size=shape))
 
-        lstm_bias = np.repeat([0.0, 1.0, 0.0, 0.0], H)  # the forget gate starts open
+        def lstm_bias() -> np.ndarray:  # the forget gate starts open
+            return np.repeat([0.0, 1.0, 0.0, 0.0], H)
 
         # creation order is fixed: it defines the init rng draw sequence
         uniform("emb.src", V, E)
@@ -80,13 +81,13 @@ class LSTMSeq2Seq(Seq2Seq):
             in_dim = E if layer == 0 else self.ctx_dim
             for d in self.directions:
                 uniform(f"enc.{layer}.{d}.w", 4 * H, in_dim + H)
-                add(f"enc.{layer}.{d}.b", lstm_bias)
+                add(f"enc.{layer}.{d}.b", lstm_bias())
         uniform("bridge.h.w", H, self.ctx_dim)
         add("bridge.h.b", np.zeros(H))
         uniform("bridge.c.w", H, self.ctx_dim)
         add("bridge.c.b", np.zeros(H))
         uniform("dec.w", 4 * H, E + self.ctx_dim + H)
-        add("dec.b", lstm_bias)
+        add("dec.b", lstm_bias())
         if self.attention:
             uniform("attn.query.w", A, H)
             uniform("attn.key.w", A, self.ctx_dim)
@@ -137,8 +138,9 @@ class LSTMSeq2Seq(Seq2Seq):
             ctx = additive_attention(q, keys, self.params["attn.v"], memory, live)
         return out, h, ctx
 
-    def _step(self, rows, shared, live, prev_ids: np.ndarray):
-        hc, h, ctx = self._cell(prev_ids, *rows, live, *shared)
+    def _step(self, rows, shared, live, src: np.ndarray, prev_ids: np.ndarray, cache):
+        hc, h, ctx = self._cell(prev_ids, *rows, live[src],
+                                *(embedding_lookup(t, src) for t in shared))
         logits = affine(concat([h, ctx], axis=2), self.params["out.w"], self.params["out.b"])
         return logits, (hc, ctx)
 

@@ -22,7 +22,12 @@ architecture writes only its network.
 
 States are immutable, so search code can fork them freely: ``state.take``
 picks rows by parent index, repeats allowed, the way fairseq reorders its
-incremental state (Ott et al. 2019).  Targets always end with the
+incremental state (Ott et al. 2019).  Histories that grow by a position
+a step, such as the transformer's keys and values, are never copied by
+it: they live in a store that every state forked from one ``encode``
+shares and that is written once per row and position, and a state holds
+each row's ancestry, its slots in that store, as PagedAttention forks a
+beam by its block table (Kwon et al. 2023).  Targets always end with the
 end-of-sequence id; the decoder is fed the start id plus the target
 shifted right.
 """
@@ -60,17 +65,51 @@ def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray]:
     return _padded(sources)
 
 
+class _Store:
+    """The histories of one ``encode``'s rows, shared by every state forked
+    from it, and append-only: ``arrays[i]`` [capacity, *width] holds
+    history i, created by its first write, whose rows [0, used) are each
+    written once, so a fork never sees another fork's writes."""
+
+    def __init__(self):
+        self.arrays: dict[int, np.ndarray] = {}
+        self.used = self.capacity = 0
+
+    def claim(self, n: int) -> np.ndarray:
+        """``n`` fresh row slots.  Growing doubles the capacity and copies
+        the written rows, so a row's slot never moves."""
+        start, self.used = self.used, self.used + n
+        if self.used > self.capacity:
+            self.capacity = max(2 * self.capacity, self.used)
+            for i, old in self.arrays.items():
+                self.arrays[i] = np.empty((self.capacity, *old.shape[1:]))
+                self.arrays[i][:start] = old[:start]
+        return np.arange(start, self.used)
+
+    def write(self, i: int, slots: np.ndarray, rows: np.ndarray) -> None:
+        if i not in self.arrays:
+            self.arrays[i] = np.empty((self.capacity, *rows.shape[1:]))
+        self.arrays[i][slots] = rows
+
+
 @dataclass(frozen=True)
 class DecodeState:
     """Decoder state of N rows, each a hypothesis of one encoded source.
 
-    ``shared`` holds a model's per-source arrays, then the live mask (first
-    axis: source); a step gathers its rows' slices through ``src`` [N], each
-    row's source, and ``take`` leaves them alone.  ``rows`` holds the per-row arrays.
+    ``rows`` holds the per-row arrays a step replaces (an LSTM's state and
+    context), which ``take`` gathers.  Histories a step extends by one
+    position (the transformer's self-attention keys and values) sit in
+    ``store``, which every state forked from one ``encode`` shares and
+    only appends to; a state keeps just each row's ancestry, ``ancestry``
+    [N, t], its store slots oldest position first, so ``take`` gathers
+    integers for them.  ``shared`` holds a model's per-source arrays, then
+    the live mask (first axis: source), and ``src`` [N] each row's source.
     """
 
     src: np.ndarray
     rows: tuple[np.ndarray, ...]
+    ancestry: np.ndarray
+    store: _Store
     shared: tuple
 
     def __len__(self) -> int:
@@ -79,18 +118,45 @@ class DecodeState:
     def take(self, index) -> "DecodeState":
         """The rows at ``index`` [M], in that order."""
         index = np.asarray(index, dtype=np.intp)
-        return replace(self, src=self.src[index], rows=tuple(r[index] for r in self.rows))
+        return replace(self, src=self.src[index], rows=tuple(r[index] for r in self.rows),
+                       ancestry=self.ancestry[index])
+
+
+class StepCache:
+    """One decode step's access to its rows' histories, for a model's
+    ``_step``: each row gets a fresh store slot for the position
+    ``length``, so a step writes only rows no state has seen."""
+
+    def __init__(self, state: DecodeState):
+        self._store = state.store
+        self.length = state.ancestry.shape[1]  # the rows' positions before this step
+        self.ancestry = np.concatenate(
+            [state.ancestry, self._store.claim(len(state))[:, None]], axis=1)
+        self.appended: set[int] = set()
+
+    def append(self, i: int, new: Tensor) -> None:
+        """Write new [N, 1, *width] as history i's position ``length``."""
+        self._store.write(i, self.ancestry[:, -1], new.data[:, 0])
+        self.appended.add(i)
+
+    def history(self, i: int) -> Tensor:
+        """History i over each row's positions, this step's appended one
+        last, gathered in one pass [N, length + 1, *width]."""
+        return Tensor(self._store.arrays[i][self.ancestry])
 
 
 class Seq2Seq:
     """The protocol around a subclass's network, which it writes as hooks,
     pure functions of Tensors and boolean live masks that keep the position
-    axis; ``Seq2Seq`` alone builds and stores ``DecodeState``s and gathers rows:
+    axis; ``Seq2Seq`` alone builds, stores and steps ``DecodeState``s:
 
     - ``_encode(src, live, train, rng) -> (rows, shared)``: padded source ids
       [B, S] with live mask [B, S] -> per-row decoder start, per-source Tensors
-    - ``_step(rows, shared, live, prev_ids) -> (logits [N, 1, V], rows)``: feed
-      prev_ids [N] to every row; ``shared`` and ``live`` are the row's source's
+    - ``_step(rows, shared, live, src, prev_ids, cache) -> (logits [N, 1, V],
+      rows)``: feed prev_ids [N] to every row; row n decodes source
+      ``src[n]`` of the per-source ``shared`` and ``live``, and a model
+      with histories appends each of them once to the ``StepCache`` and
+      reads them back there
     - ``_forced(rows, shared, live, tgt_in, train, rng) -> logits [B, T, V]``:
       the teacher-forced pass from ``_encode`` over decoder inputs tgt_in [B, T];
       ``rows``, ``shared`` and ``live`` are each pair's own source's
@@ -101,17 +167,22 @@ class Seq2Seq:
         with no_grad():
             rows, shared = self._encode(src, live, False, None)
         return DecodeState(np.arange(len(src)), tuple(r.data for r in rows),
+                           np.empty((len(src), 0), dtype=np.intp), _Store(),
                            (*(t.data for t in shared), live))
 
     def decode_step_batch(self, state: DecodeState, prev_ids):
-        *shared, live = (a[state.src] for a in state.shared)
+        cache = StepCache(state)
+        *shared, live = state.shared
         with no_grad():
             logits, rows = self._step(tuple(Tensor(r) for r in state.rows),
-                                      tuple(Tensor(a) for a in shared), live,
-                                      np.asarray(prev_ids, dtype=np.intp))
+                                      tuple(Tensor(a) for a in shared), live, state.src,
+                                      np.asarray(prev_ids, dtype=np.intp), cache)
+        if cache.appended != state.store.arrays.keys():
+            raise ContractError("_step must append every history once a step")
         logits = logits.data[:, 0]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # the softmax
-        return e / e.sum(axis=-1, keepdims=True), replace(state, rows=tuple(r.data for r in rows))
+        return e / e.sum(axis=-1, keepdims=True), replace(
+            state, rows=tuple(r.data for r in rows), ancestry=cache.ancestry)
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
         """Each distinct source is encoded once, in first-seen order; when a
@@ -145,8 +216,8 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
 
     Parameters are drawn from ``rng`` in a fixed order, so equal (config,
     rng state) pairs produce bit-identical models.  Without ``rng`` the
-    drawn parameters are allocated but not drawn, for ``restore_into`` to
-    fill from a checkpoint.
+    drawn parameters are allocated but neither drawn nor written, for a
+    checkpoint's arrays to replace (``move_into``) or fill (``restore_into``).
     """
     # local imports: both submodules use the helpers above
     if config.arch == "transformer":

@@ -15,9 +15,13 @@ keys and values once per source.  Decoding is incremental, as in fairseq
 (Ott et al. 2019): the decoder state caches each row's self-attention
 keys and values, so a step runs the decoder over the newest position
 only.  ``_step`` advances every row of every source, a greedy, sampled or
-beam hypothesis, as one row of a single [N, 1, D] pass.  ``Seq2Seq`` pads,
-masks, builds and stores the states, gathers each row's source Tensors
-and reads the probabilities around these hooks.
+beam hypothesis, as one row of a single [N, 1, D] pass.  Each decoder
+block appends its new keys and values to the state's append-only store
+and reads each row's whole history back in one gather, and its
+cross-attention reads each source's keys and values through the rows'
+source index, so no row holds a copy of them.  ``Seq2Seq`` pads, masks,
+builds and stores the states and reads the probabilities around these
+hooks.
 """
 
 from __future__ import annotations
@@ -30,12 +34,10 @@ from ..ndiff import (
     Tensor,
     affine,
     add,
-    concat,
     dropout,
     embedding_lookup,
     layer_norm,
     mul,
-    parameter,
     relu,
     scaled_dot_product,
 )
@@ -62,8 +64,8 @@ class TransformerSeq2Seq(Seq2Seq):
         self.params: dict[str, Tensor] = {}
         V, D = config.vocab_size, config.d_model
 
-        def p(name: str, data) -> None:
-            self.params[name] = parameter(data)
+        def p(name: str, data: np.ndarray) -> None:  # data: a fresh array of our own
+            self.params[name] = Tensor(data, requires_grad=True)
 
         def normal(*shape: int) -> np.ndarray:  # scaled by the input width
             if rng is None:
@@ -113,9 +115,10 @@ class TransformerSeq2Seq(Seq2Seq):
         return affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _attend(self, name: str, q: Tensor, k: Tensor, v: Tensor,
-                live: np.ndarray | None) -> Tensor:
-        """Multi-head attention of q over the live (k, v), projected out."""
-        return self._linear(f"{name}.o", scaled_dot_product(q, k, v, live, self.config.heads))
+                live: np.ndarray | None, src: np.ndarray | None = None) -> Tensor:
+        """Multi-head attention of q over the live (k, v), projected out; with
+        ``src``, each row of q over its source's (k, v)."""
+        return self._linear(f"{name}.o", scaled_dot_product(q, k, v, live, self.config.heads, src))
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._linear(f"{name}.2", relu(self._linear(f"{name}.1", x)))
@@ -128,9 +131,10 @@ class TransformerSeq2Seq(Seq2Seq):
         return dropout(add(x, Tensor(pe)), cfg.dropout, train, rng)
 
     def _encode(self, src: np.ndarray, live: np.ndarray, train: bool, rng):
-        """For padded source ids [B, S] with live mask [B, S]: rows, every decoder
-        layer's empty self-attention keys and values [B, 0, D], and shared, its
-        cross-attention keys and values over the encoder memory [B, S, D]."""
+        """For padded source ids [B, S] with live mask [B, S]: no rows (the
+        decoder's self-attention keys and values are histories, which start
+        empty), and shared, every decoder layer's cross-attention keys and
+        values over the encoder memory [B, S, D]."""
         cfg = self.config
         mask = live[:, None, None, :]  # broadcast over heads and queries
         x = self._embed("emb.src", src, train, rng)
@@ -144,28 +148,30 @@ class TransformerSeq2Seq(Seq2Seq):
         memory = self._ln("enc.final_ln", x)
         shared = tuple(self._linear(f"dec.{l}.cross.{part}", memory)
                        for l in range(cfg.dec_blocks) for part in "kv")
-        return (Tensor(np.zeros((len(src), 0, cfg.d_model))),) * len(shared), shared
+        return (), shared
 
-    def _dec_block(self, l: int, x: Tensor, past, cross, self_live, cross_live, train, rng):
+    def _dec_block(self, l: int, x: Tensor, cross, self_live, cross_live, train, rng,
+                   cache=None, src=None):
         """Decoder block l over x [B, T, D] with cross-attention (keys, values).
 
-        ``past`` is None or the cached self-attention (keys, values) that
-        precede this call's positions.  Returns the new x and the full
-        self-attention (keys, values) including the cached ones.
+        Decoding passes the step's ``cache``, where the block appends its
+        self-attention keys and values and reads back each row's whole
+        history, and each row's source ``src`` in the per-source ``cross``.
         """
         cfg = self.config
         normed = self._ln(f"dec.{l}.ln1", x)
         q, k, v = (self._linear(f"dec.{l}.self.{part}", normed) for part in "qkv")
-        if past is not None:
-            k, v = concat([past[0], k], axis=1), concat([past[1], v], axis=1)
+        if cache is not None:
+            for i, new in enumerate((k, v), start=2 * l):
+                cache.append(i, new)
+            k, v = cache.history(2 * l), cache.history(2 * l + 1)
         a = self._attend(f"dec.{l}.self", q, k, v, self_live)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         q = self._linear(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x))
-        a = self._attend(f"dec.{l}.cross", q, *cross, cross_live)
+        a = self._attend(f"dec.{l}.cross", q, *cross, cross_live, src)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         f = self._ffn(f"dec.{l}.ffn", self._ln(f"dec.{l}.ln3", x))
-        x = add(x, dropout(f, cfg.dropout, train, rng))
-        return x, (k, v)
+        return add(x, dropout(f, cfg.dropout, train, rng))
 
     def _logits(self, x: Tensor) -> Tensor:
         return self._linear("out", self._ln("dec.final_ln", x))
@@ -174,17 +180,14 @@ class TransformerSeq2Seq(Seq2Seq):
         x = self._embed("emb.tgt", tgt_in, train, rng)
         causal = np.tri(tgt_in.shape[1], dtype=bool)  # no query sees a later position
         for l in range(self.config.dec_blocks):
-            x, _ = self._dec_block(l, x, None, shared[2 * l:2 * l + 2], causal,
-                                   live[:, None, None, :], train, rng)
+            x = self._dec_block(l, x, shared[2 * l:2 * l + 2], causal, live[:, None, None, :],
+                                train, rng)
         return self._logits(x)
 
-    def _step(self, rows, shared, live, prev_ids: np.ndarray):
-        # the cached keys' length is the position of the fed ids
-        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=rows[0].shape[1])
-        cache = []
+    def _step(self, rows, shared, live, src: np.ndarray, prev_ids: np.ndarray, cache):
+        # the histories' length is the position of the fed ids
+        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=cache.length)
         for l in range(self.config.dec_blocks):
-            layer = slice(2 * l, 2 * l + 2)
-            x, kv = self._dec_block(l, x, rows[layer], shared[layer], None,
-                                    live[:, None, None, :], False, None)
-            cache += kv
-        return self._logits(x), tuple(cache)
+            x = self._dec_block(l, x, shared[2 * l:2 * l + 2], None, live[:, None, None, :],
+                                False, None, cache, src)
+        return self._logits(x), ()

@@ -210,10 +210,15 @@ def spearman_oracle(x, y) -> float:
 
 
 def t_pvalue_oracle(stat: float, n: int) -> float:
+    """Two-sided p of correlation ``stat`` over ``n`` pairs by Student's t.
+    At n = 3 (one degree of freedom, the Cauchy law) it is the closed form
+    1 - 2 asin(|r|) / pi: stdtr(1, t) rounds 1 + t^2 there."""
     if n < 3 or not math.isfinite(stat):
         return float("nan")
     if abs(stat) >= 1.0:
         return 0.0
+    if n == 3:
+        return 1.0 - 2.0 * math.asin(abs(stat)) / math.pi
     t = stat * math.sqrt((n - 2) / (1.0 - stat * stat))
     return 2.0 * float(stdtr(n - 2, -abs(t)))
 

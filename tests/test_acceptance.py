@@ -12,6 +12,7 @@ than asserting on data this sandbox does not have.
                                           (skip retraining, gate on reports)
 """
 
+import functools
 import json
 import math
 import os
@@ -194,6 +195,19 @@ def _op_suite(rng):
     # to their pairs with a repeat, whose gradients sum
     rows3 = rng.normal(size=(3, 2, 4))
     rows_sel = rng.normal(size=(4, 2, 4))
+    # drawn last: attention by source index, as transformer decoding calls
+    # it; rows q [4, 2, D] out of source order over three sources' k, v
+    # [3, 5, D], source 1 without rows, and a key mask per source
+    sq = merged(rng.normal(size=(4, 2, 2, 4)))
+    skv = merged(rng.normal(size=(3, 2, 5, 4)))
+    ssel = merged(rng.normal(size=(4, 2, 2, 4)))
+    source_mask = np.ones((3, 1, 1, 5), dtype=bool)
+    source_mask[2, ..., 2:] = False
+
+    def attend_by_source(**leaf):
+        a = {"q": T(sq), "k": T(skv), "v": T(skv), **leaf}
+        return nd.sum_(nd.mul(nd.scaled_dot_product(a["q"], a["k"], a["v"], source_mask, 2,
+                                                    [2, 0, 2, 2]), T(ssel)))
 
     def head(t, targets, live, sel):
         return nd.sum_(nd.mul(nd.target_logprobs(t, targets, live), T(sel)))
@@ -206,6 +220,9 @@ def _op_suite(rng):
         ("scaled_dot_product-padded-q", lambda t: attend(q=t), aq),
         ("scaled_dot_product-padded-k", lambda t: attend(k=t), akv),
         ("scaled_dot_product-padded-v", lambda t: attend(v=t), akv),
+        ("scaled_dot_product-by-source-q", lambda t: attend_by_source(q=t), sq),
+        ("scaled_dot_product-by-source-k", lambda t: attend_by_source(k=t), skv),
+        ("scaled_dot_product-by-source-v", lambda t: attend_by_source(v=t), skv),
         ("additive_attention", lambda t: additive(q=t), dq),
         ("additive_attention-keys", lambda t: additive(keys=t), dkeys),
         ("additive_attention-v", lambda t: additive(v=t), dv),
@@ -441,8 +458,10 @@ def test_criterion4_param_counts_match_published_budgets():
 # criteria 5-7: desk-scale reproduction (gated on real data)
 
 
+@functools.cache
 def _desk_run(lang: str) -> dict:
-    """Summary of a desk-scale run, training one if no finished dir is given."""
+    """Summary of a desk-scale run, training one if no finished dir is
+    given; computed once per language, so criteria 6 and 7 share German's."""
     if os.environ.get("WUGBENCH_DESK") != "1":
         pytest.skip("desk-scale reproduction: set WUGBENCH_DESK=1 with data paths")
     run_dir = os.environ.get(f"WUGBENCH_{lang.upper()}_RUN")

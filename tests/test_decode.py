@@ -564,3 +564,22 @@ def test_sampled_scores_equal_forced_scores_in_a_ragged_batch(copy_model):
         # an unfinished draw never took the end id's factor
         want = sum(score.step_logprobs[:len(hyp.symbols) + hyp.finished])
         assert abs(hyp.logprob - want) < 1e-9
+
+
+def test_sampled_draws_do_not_depend_on_the_store_history(copy_model, monkeypatch):
+    # several draws a source over more sources than one chunk: a rerun
+    # gives the same draws, and so does a run in which, before each real
+    # step, a fork the search never sees (its rows reversed, one repeated)
+    # steps first, so every real row lands in other store slots
+    samples = sample_decode(copy_model, RAGGED, 3, np.random.default_rng(9))
+    assert samples == sample_decode(copy_model, RAGGED, 3, np.random.default_rng(9))
+    cls = type(copy_model)
+    step = cls.decode_step_batch
+
+    def meddling(self, state, prev_ids):
+        rows = np.r_[np.arange(len(state))[::-1], 0]
+        step(self, state.take(rows), [prev_ids[i] for i in rows])
+        return step(self, state, prev_ids)
+
+    monkeypatch.setattr(cls, "decode_step_batch", meddling)
+    assert samples == sample_decode(copy_model, RAGGED, 3, np.random.default_rng(9))

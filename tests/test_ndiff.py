@@ -6,7 +6,10 @@ import math
 import os
 import re
 import stat
+import threading
+import time
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -272,6 +275,41 @@ def test_scaled_dot_product_live_mask_is_the_additive_mask():
         np.testing.assert_array_equal(leaf.grad[np.broadcast_to(dead, leaf.shape)], 0.0)
 
 
+def test_attention_by_source_index_equals_gathered_rows():
+    # rows in arbitrary source order, unequal rows per source, and source 2
+    # with no rows: by index equals each row reading its own gathered copy
+    # of its source's keys, values and key mask, forward and backward
+    rng = _rng(3)
+    heads = 2
+    src = np.array([3, 0, 3, 3, 1, 0, 3])
+    live = rng.random((4, 6)) < 0.6
+    live[:, 0] = True
+    q, k, v, sel = (rng.normal(size=shape) for shape in
+                    ((7, 2, 8), (4, 6, 8), (4, 6, 8), (7, 2, 8)))
+    leaves = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = nd.scaled_dot_product(*leaves, live[:, None, None, :], heads, src)
+    nd.backward(nd.sum_(nd.mul(out, nd.Tensor(sel))))
+    copies = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    q2, k2, v2 = copies[0], *(nd.embedding_lookup(t, src) for t in copies[1:])
+    want = nd.scaled_dot_product(q2, k2, v2, live[src][:, None, None, :], heads)
+    nd.backward(nd.sum_(nd.mul(want, nd.Tensor(sel))))
+    np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
+    for got, ref in zip(leaves, copies):
+        np.testing.assert_allclose(got.grad, ref.grad, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(leaves[1].grad[2], 0.0)
+
+    mask = live[:, None, None, :]
+    for bad in ([3, 0, 3, 3, 1, 0],  # one index short
+                [3, 0, 3, 3, 1, 0, 4],  # no source 4
+                [3, 0, 3, -1, 1, 0, 3],
+                src.astype(float),
+                src[None]):
+        with pytest.raises(nd.ShapeError, match="scaled_dot_product"):
+            nd.scaled_dot_product(*leaves, mask, heads, bad)
+    with pytest.raises(nd.ShapeError, match="scaled_dot_product"):  # a per-row mask
+        nd.scaled_dot_product(*leaves, live[src][:, None, None, :], heads, src)
+
+
 ATTN_LIVE = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])  # source lengths 4, 2, 1
 
 
@@ -478,6 +516,47 @@ def test_no_grad_suppresses_graph():
     assert nd.grad_enabled()
     z = nd.mul(x, x)
     assert z.requires_grad
+
+
+def test_no_grad_in_racing_threads_leaves_recording_on():
+    # with one process-wide flag, two threads inside no_grad at once restore
+    # each other's "off", and recording can stay off for good
+    start = threading.Barrier(2)
+
+    def enter_and_leave(times: int) -> bool:
+        start.wait(timeout=60)
+        for _ in range(times):
+            with nd.no_grad():
+                time.sleep(0)  # lets the other thread run inside the block
+        return nd.grad_enabled()
+
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(enter_and_leave, 200) for _ in range(2)]
+        assert [f.result(timeout=60) for f in futures] == [True, True]
+    assert nd.grad_enabled()
+    x = nd.Tensor(np.ones(3), requires_grad=True)
+    assert nd.mul(x, x).requires_grad
+
+
+def test_no_grad_in_one_thread_keeps_recording_in_another():
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with nd.no_grad():
+            inside.set()
+            release.wait(timeout=60)
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    try:
+        assert inside.wait(timeout=60)
+        assert nd.grad_enabled()
+        x = nd.Tensor(np.ones(3), requires_grad=True)
+        assert nd.mul(x, x).requires_grad
+    finally:
+        release.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
 
 
 def test_constant_inputs_get_no_grad():

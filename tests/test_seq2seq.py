@@ -310,6 +310,35 @@ def test_batched_step_matches_single_steps(arch):
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forks_past_the_store_capacity_match_fresh_chains(arch):
+    # rows forked with repeats across interleaved sources, up to 240 at
+    # once over 21 steps, so the store the forks share grows many times;
+    # every row's distribution equals its own single-source chain, stepped
+    # alone from a fresh encoding
+    model = tiny_model(arch, seed=5)
+    sources = [[3, 4, 5], [6], [4, 3, 7, 5, 6], [7, 7]]
+    rng = np.random.default_rng(11)
+    state, src, fed = model.encode(sources), list(range(len(sources))), [[] for _ in sources]
+    for step in range(21):
+        prevs = [int(v) for v in rng.integers(1, 8, size=len(state))]
+        probs, state = model.decode_step_batch(state, prevs)
+        fed = [ids + [prev] for ids, prev in zip(fed, prevs)]
+        if step == 6:  # a fork, stepped once now and once after every later step
+            kept = state.take([5, 0, 5])
+            kept_probs, _ = model.decode_step_batch(kept, [3, 4, 3])
+        parents = rng.integers(0, len(state), size=min(240, 3 * len(state)))
+        state, src, fed = state.take(parents), [src[p] for p in parents], [fed[p] for p in parents]
+    assert len(state) == 240
+    for i, (source, ids) in enumerate(zip(src, fed)):
+        single = model.encode([sources[source]])
+        for fed_id in ids:
+            (single_probs,), single = model.decode_step_batch(single, [fed_id])
+        np.testing.assert_allclose(probs[parents[i]], single_probs, rtol=0, atol=1e-12)
+    # no fork's steps changed what the early fork reads
+    np.testing.assert_array_equal(model.decode_step_batch(kept, [3, 4, 3])[0], kept_probs)
+
+
 def test_transformer_decoder_is_causal():
     # the forced score of a shared prefix must not depend on the suffix
     model = tiny_model("transformer", seed=9)

@@ -180,7 +180,7 @@ def test_pvalue_formula():
     for n in (3, 5, 12, 35):
         x, y = _random_pairs(rng, n)
         got = pearson(x, y)
-        assert got.pvalue == pytest.approx(t_pvalue_oracle(got.statistic, n), abs=1e-12)
+        assert got.pvalue == pytest.approx(t_pvalue_oracle(got.statistic, n), rel=1e-12, abs=0)
 
 
 # |r| from 1e-12 to 0.999: log-spaced, and round values
@@ -190,11 +190,9 @@ R_GRID = sorted({*np.geomspace(1e-12, 0.999, 60).tolist(),
 
 @pytest.mark.parametrize("n", (3, 4, 5, 30, 56, 281, 5000))
 def test_t_pvalue_keeps_relative_accuracy(n):
-    # against scipy's stdtr p-value.  With one degree of freedom (n = 3)
-    # stdtr rounds 1 + t^2 and is off by up to 5e-9 relative for |r| < 1e-4,
-    # so the Cauchy form 1 - 2 asin(|r|) / pi stands in for it there
+    # against the oracle's p-value: scipy's stdtr, or at n = 3 the Cauchy form
     for r in R_GRID:
-        want = 1.0 - 2.0 * math.asin(r) / math.pi if n == 3 else t_pvalue_oracle(r, n)
+        want = t_pvalue_oracle(r, n)
         for stat in (r, -r):
             got = _t_pvalue(stat, n)
             if want < sys.float_info.min:  # stdtr underflows below the normal range
