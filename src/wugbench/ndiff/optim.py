@@ -25,8 +25,10 @@ class Adam:
     whole-array update's elementwise operations in the same order. Every
     one of them is correctly rounded per element, so the result is
     bit-identical to updating each array at once from ``grad * factor``.
-    Parameter arrays must be C-contiguous, which ``parameter`` and
-    ``restore_into`` guarantee.
+    Parameter arrays must be C-contiguous: ``parameter`` and
+    ``restore_into`` copy into fresh C-contiguous arrays, the models build
+    their parameters from fresh arrays of their own, and ``move_into``
+    copies any loaded array that is not C-contiguous.
 
     ``zero_grad`` zeroes each existing gradient in place, so from the
     second step on ``backward`` adds into the same arrays. A gradient a

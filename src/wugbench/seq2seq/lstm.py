@@ -138,9 +138,9 @@ class LSTMSeq2Seq(Seq2Seq):
             ctx = additive_attention(q, keys, self.params["attn.v"], memory, live)
         return out, h, ctx
 
-    def _step(self, rows, shared, live, src: np.ndarray, prev_ids: np.ndarray, cache):
-        hc, h, ctx = self._cell(prev_ids, *rows, live[src],
-                                *(embedding_lookup(t, src) for t in shared))
+    def _step(self, rows, shared, live, prev_ids: np.ndarray, step):
+        hc, h, ctx = self._cell(prev_ids, *rows, live[step.src],
+                                *(embedding_lookup(t, step.src) for t in shared))
         logits = affine(concat([h, ctx], axis=2), self.params["out.w"], self.params["out.b"])
         return logits, (hc, ctx)
 

@@ -67,12 +67,12 @@ def _padded_sources(sources) -> tuple[np.ndarray, np.ndarray]:
 
 class _Store:
     """The histories of one ``encode``'s rows, shared by every state forked
-    from it, and append-only: ``arrays[i]`` [capacity, *width] holds
-    history i, created by its first write, whose rows [0, used) are each
+    from it, and append-only: ``arrays[name]`` [capacity, *width] holds one
+    history, created by its first write, whose rows [0, used) are each
     written once, so a fork never sees another fork's writes."""
 
     def __init__(self):
-        self.arrays: dict[int, np.ndarray] = {}
+        self.arrays: dict[str, np.ndarray] = {}
         self.used = self.capacity = 0
 
     def claim(self, n: int) -> np.ndarray:
@@ -81,15 +81,15 @@ class _Store:
         start, self.used = self.used, self.used + n
         if self.used > self.capacity:
             self.capacity = max(2 * self.capacity, self.used)
-            for i, old in self.arrays.items():
-                self.arrays[i] = np.empty((self.capacity, *old.shape[1:]))
-                self.arrays[i][:start] = old[:start]
+            for name, old in self.arrays.items():
+                self.arrays[name] = np.empty((self.capacity, *old.shape[1:]))
+                self.arrays[name][:start] = old[:start]
         return np.arange(start, self.used)
 
-    def write(self, i: int, slots: np.ndarray, rows: np.ndarray) -> None:
-        if i not in self.arrays:
-            self.arrays[i] = np.empty((self.capacity, *rows.shape[1:]))
-        self.arrays[i][slots] = rows
+    def write(self, name: str, slots: np.ndarray, rows: np.ndarray) -> None:
+        if name not in self.arrays:
+            self.arrays[name] = np.empty((self.capacity, *rows.shape[1:]))
+        self.arrays[name][slots] = rows
 
 
 @dataclass(frozen=True)
@@ -122,27 +122,29 @@ class DecodeState:
                        ancestry=self.ancestry[index])
 
 
-class StepCache:
-    """One decode step's access to its rows' histories, for a model's
-    ``_step``: each row gets a fresh store slot for the position
-    ``length``, so a step writes only rows no state has seen."""
+class DecodeStep:
+    """One decode step's view of its rows, for a model's ``_step``: each
+    row's source ``src``, the rows' position ``length``, and ``append``
+    for the histories, which gives each row a fresh store slot for that
+    position, so a step writes only rows no state has seen."""
 
     def __init__(self, state: DecodeState):
-        self._store = state.store
+        self.src = state.src
         self.length = state.ancestry.shape[1]  # the rows' positions before this step
+        self._store = state.store
         self.ancestry = np.concatenate(
             [state.ancestry, self._store.claim(len(state))[:, None]], axis=1)
-        self.appended: set[int] = set()
+        self.appended: set[str] = set()
 
-    def append(self, i: int, new: Tensor) -> None:
-        """Write new [N, 1, *width] as history i's position ``length``."""
-        self._store.write(i, self.ancestry[:, -1], new.data[:, 0])
-        self.appended.add(i)
-
-    def history(self, i: int) -> Tensor:
-        """History i over each row's positions, this step's appended one
-        last, gathered in one pass [N, length + 1, *width]."""
-        return Tensor(self._store.arrays[i][self.ancestry])
+    def append(self, name: str, new: Tensor) -> Tensor:
+        """Write new [N, 1, *width] as position ``length`` of the history
+        ``name``, once a step -> each row's whole history, gathered in one
+        pass [N, length + 1, *width]."""
+        if name in self.appended:
+            raise ContractError(f"_step appended history {name!r} twice in one step")
+        self._store.write(name, self.ancestry[:, -1], new.data[:, 0])
+        self.appended.add(name)
+        return Tensor(self._store.arrays[name][self.ancestry])
 
 
 class Seq2Seq:
@@ -152,11 +154,11 @@ class Seq2Seq:
 
     - ``_encode(src, live, train, rng) -> (rows, shared)``: padded source ids
       [B, S] with live mask [B, S] -> per-row decoder start, per-source Tensors
-    - ``_step(rows, shared, live, src, prev_ids, cache) -> (logits [N, 1, V],
+    - ``_step(rows, shared, live, prev_ids, step) -> (logits [N, 1, V],
       rows)``: feed prev_ids [N] to every row; row n decodes source
-      ``src[n]`` of the per-source ``shared`` and ``live``, and a model
-      with histories appends each of them once to the ``StepCache`` and
-      reads them back there
+      ``step.src[n]`` of the per-source ``shared`` and ``live``, and a
+      model with histories appends to each of them once a step through
+      ``step.append``, which returns the whole history
     - ``_forced(rows, shared, live, tgt_in, train, rng) -> logits [B, T, V]``:
       the teacher-forced pass from ``_encode`` over decoder inputs tgt_in [B, T];
       ``rows``, ``shared`` and ``live`` are each pair's own source's
@@ -171,18 +173,18 @@ class Seq2Seq:
                            (*(t.data for t in shared), live))
 
     def decode_step_batch(self, state: DecodeState, prev_ids):
-        cache = StepCache(state)
+        step = DecodeStep(state)
         *shared, live = state.shared
         with no_grad():
             logits, rows = self._step(tuple(Tensor(r) for r in state.rows),
-                                      tuple(Tensor(a) for a in shared), live, state.src,
-                                      np.asarray(prev_ids, dtype=np.intp), cache)
-        if cache.appended != state.store.arrays.keys():
-            raise ContractError("_step must append every history once a step")
+                                      tuple(Tensor(a) for a in shared), live,
+                                      np.asarray(prev_ids, dtype=np.intp), step)
+        if step.appended != state.store.arrays.keys():
+            raise ContractError("_step must append to every history once a step")
         logits = logits.data[:, 0]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # the softmax
         return e / e.sum(axis=-1, keepdims=True), replace(
-            state, rows=tuple(r.data for r in rows), ancestry=cache.ancestry)
+            state, rows=tuple(r.data for r in rows), ancestry=step.ancestry)
 
     def teacher_forced_logprobs(self, pairs, rng=None, train: bool = False) -> Tensor:
         """Each distinct source is encoded once, in first-seen order; when a

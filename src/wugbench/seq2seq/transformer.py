@@ -151,20 +151,21 @@ class TransformerSeq2Seq(Seq2Seq):
         return (), shared
 
     def _dec_block(self, l: int, x: Tensor, cross, self_live, cross_live, train, rng,
-                   cache=None, src=None):
+                   step=None):
         """Decoder block l over x [B, T, D] with cross-attention (keys, values).
 
-        Decoding passes the step's ``cache``, where the block appends its
-        self-attention keys and values and reads back each row's whole
-        history, and each row's source ``src`` in the per-source ``cross``.
+        Decoding passes the ``DecodeStep``: the block appends its
+        self-attention keys and values there and attends over each row's
+        whole history, and row n's cross-attention reads source
+        ``step.src[n]`` of the per-source ``cross``.
         """
         cfg = self.config
         normed = self._ln(f"dec.{l}.ln1", x)
         q, k, v = (self._linear(f"dec.{l}.self.{part}", normed) for part in "qkv")
-        if cache is not None:
-            for i, new in enumerate((k, v), start=2 * l):
-                cache.append(i, new)
-            k, v = cache.history(2 * l), cache.history(2 * l + 1)
+        src = None
+        if step is not None:
+            k, v = step.append(f"dec.{l}.k", k), step.append(f"dec.{l}.v", v)
+            src = step.src
         a = self._attend(f"dec.{l}.self", q, k, v, self_live)
         x = add(x, dropout(a, cfg.dropout, train, rng))
         q = self._linear(f"dec.{l}.cross.q", self._ln(f"dec.{l}.ln2", x))
@@ -184,10 +185,10 @@ class TransformerSeq2Seq(Seq2Seq):
                                 train, rng)
         return self._logits(x)
 
-    def _step(self, rows, shared, live, src: np.ndarray, prev_ids: np.ndarray, cache):
+    def _step(self, rows, shared, live, prev_ids: np.ndarray, step):
         # the histories' length is the position of the fed ids
-        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=cache.length)
+        x = self._embed("emb.tgt", prev_ids[:, None], False, None, start=step.length)
         for l in range(self.config.dec_blocks):
             x = self._dec_block(l, x, shared[2 * l:2 * l + 2], None, live[:, None, None, :],
-                                False, None, cache, src)
+                                False, None, step)
         return self._logits(x), ()

@@ -12,6 +12,8 @@ from wugbench.decode import greedy_decode
 from wugbench.ndiff import (
     INIT_STREAM,
     Adam,
+    ContractError,
+    Tensor,
     backward,
     restore_into,
     save_checkpoint,
@@ -24,6 +26,7 @@ from wugbench.seq2seq import (
     build_model,
     count_parameters,
 )
+from wugbench.seq2seq.model import Seq2Seq
 from wugbench.seq2seq.transformer import positional_encoding
 
 TINY = dict(emb_dim=4, hidden_dim=3, attn_dim=3, enc_layers=2,
@@ -337,6 +340,32 @@ def test_forks_past_the_store_capacity_match_fresh_chains(arch):
         np.testing.assert_allclose(probs[parents[i]], single_probs, rtol=0, atol=1e-12)
     # no fork's steps changed what the early fork reads
     np.testing.assert_array_equal(model.decode_step_batch(kept, [3, 4, 3])[0], kept_probs)
+
+
+class _Appender(Seq2Seq):
+    """A decoder whose step appends to the histories ``plan[position]``."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def _encode(self, src, live, train, rng):
+        return (), ()
+
+    def _step(self, rows, shared, live, prev_ids, step):
+        for name in self.plan[step.length]:
+            step.append(name, Tensor(np.zeros((len(prev_ids), 1, 2))))
+        return Tensor(np.zeros((len(prev_ids), 1, 3))), ()
+
+
+@pytest.mark.parametrize("plan, match", [
+    ([["k", "v"], ["k", "v", "k"]], "twice"),  # would overwrite this step's slot
+    ([["k", "v"], ["k"]], "every history"),
+])
+def test_a_step_appends_to_every_history_once(plan, match):
+    model = _Appender(plan)
+    _, state = model.decode_step_batch(model.encode([[3], [4, 5]]), [1, 1])
+    with pytest.raises(ContractError, match=match):
+        model.decode_step_batch(state, [2, 2])
 
 
 def test_transformer_decoder_is_causal():
